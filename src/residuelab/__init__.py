@@ -52,7 +52,6 @@ from .mellin import (
     extreme_pole,
     mellin_exact,
     mellin_quadrature,
-    radial_extreme_pole,
     radial_integral,
     residue_on,
     value_at_origin,

@@ -268,7 +268,7 @@ def cmd_tube(args, report: Report) -> None:
         ref = value_at_origin(value).as_complex()
         rel = abs(limit.value - ref) / max(abs(ref), 1e-300)
         report.results["origin_value"] = _complex_obj(ref)
-        report.verdict("limit-matches-origin-value", rel <= max(args.tol, 1e-6), value=rel)
+        report.verdict("limit-matches-origin-value", rel <= args.tol, value=rel)
 
 
 def cmd_mellin_check(args, report: Report) -> None:
@@ -400,67 +400,57 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--format", choices=("table", "json"), default="table")
-        p.add_argument("--tol", type=float, default=1e-6, help="comparison tolerance")
-        p.add_argument("--profile-degree", type=int, default=2)
-        p.add_argument("--path-M", dest="path_M", type=int, default=10)
-        p.add_argument("--seed", type=int, default=None)
+    def command(name, fn, help):
+        s = sub.add_parser(name, help=help)
+        s.add_argument("--format", choices=("table", "json"), default="table")
+        s.set_defaults(fn=fn)
+        return s
 
-    s = sub.add_parser("poles", help="per-chart and global pole certificates")
+    def tol(s):
+        s.add_argument("--tol", type=float, default=1e-6, help="comparison tolerance")
+
+    s = command("poles", cmd_poles, "per-chart and global pole certificates")
     s.add_argument("scenario")
-    common(s)
-    s.set_defaults(fn=cmd_poles)
 
-    s = sub.add_parser("eval", help="exact value at a parameter point plus quadrature check")
+    s = command("eval", cmd_eval, "exact value at a parameter point plus quadrature check")
     s.add_argument("scenario")
     s.add_argument("--chart", default=None)
     s.add_argument("--lam", required=True, help="comma-separated rationals")
-    common(s)
-    s.set_defaults(fn=cmd_eval)
+    tol(s)
 
-    s = sub.add_parser("global", help="exact chart sum and its behavior at the origin")
+    s = command("global", cmd_global, "exact chart sum and its behavior at the origin")
     s.add_argument("scenario")
-    common(s)
-    s.set_defaults(fn=cmd_global)
 
-    s = sub.add_parser("residue", help="simple-pole residues on a hyperplane")
+    s = command("residue", cmd_residue, "simple-pole residues on a hyperplane")
     s.add_argument("scenario")
     s.add_argument("--form", required=True, help="comma-separated integer coefficients")
     s.add_argument("--point", required=True, help="comma-separated rationals on the hyperplane")
     s.add_argument("--chart", default=None)
-    common(s)
-    s.set_defaults(fn=cmd_residue)
 
-    s = sub.add_parser("tube", help="tube integral and admissible-path limit (diagonal data)")
+    s = command("tube", cmd_tube, "tube integral and admissible-path limit (diagonal data)")
     s.add_argument("scenario")
     s.add_argument("--chart", default=None)
     s.add_argument("--eps", default=None, help="comma-separated tube radii")
-    common(s)
-    s.set_defaults(fn=cmd_tube)
+    s.add_argument("--path-M", dest="path_M", type=int, default=10)
+    tol(s)
 
-    s = sub.add_parser("mellin-check", help="iterated transform of the tube integral vs exact value")
+    s = command("mellin-check", cmd_mellin_check, "iterated transform of the tube integral vs exact value")
     s.add_argument("scenario")
     s.add_argument("--chart", default=None)
     s.add_argument("--lam", action="append", required=True, help="repeatable: comma-separated values")
-    common(s)
-    s.set_defaults(fn=cmd_mellin_check)
+    tol(s)
 
-    s = sub.add_parser("divlemma", help="division-lemma interpolant and checks on a form file")
+    s = command("divlemma", cmd_divlemma, "division-lemma interpolant and checks on a form file")
     s.add_argument("file")
-    common(s)
-    s.set_defaults(fn=cmd_divlemma)
 
-    s = sub.add_parser("deduce", help="support-level analyticity deduction")
+    s = command("deduce", cmd_deduce, "support-level analyticity deduction")
     s.add_argument("p", type=int)
     s.add_argument("q", type=int)
-    common(s)
-    s.set_defaults(fn=cmd_deduce)
 
-    s = sub.add_parser("example3", help="packaged two-chart blow-up verification")
+    s = command("example3", cmd_example3, "packaged two-chart blow-up verification")
     s.add_argument("--drop-chart", default=None)
-    common(s)
-    s.set_defaults(fn=cmd_example3)
+    s.add_argument("--profile-degree", type=int, default=2)
+    s.add_argument("--seed", type=int, default=None)
 
     return ap
 

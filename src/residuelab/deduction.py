@@ -84,9 +84,6 @@ class PoleConstraint:
     def is_analytic(self) -> bool:
         return not self.allowed_supports
 
-    def permits(self, support: frozenset) -> bool:
-        return any(support <= m for m in self.allowed_supports)
-
     def sorted_members(self) -> List[Tuple[int, ...]]:
         return sorted(tuple(sorted(m)) for m in self.allowed_supports)
 
@@ -126,6 +123,15 @@ def combine(
     analytic, i.e. the base constraint settled; derived singleton supports
     are retained until a later intersection empties them.
     """
+    return _combine(target, base, known)[1]
+
+
+def _combine(
+    target: CurrentSymbol,
+    base: CurrentSymbol,
+    known: Mapping[CurrentSymbol, PoleConstraint],
+) -> Tuple[PoleConstraint, PoleConstraint]:
+    """`combine`, also returning the siblings' union the trace records."""
     terms = equality_terms(base)
     if target not in terms:
         raise ValueError(f"{target} is not a term of the equality from {base}")
@@ -143,9 +149,10 @@ def combine(
         if c is None:
             raise IncompleteContextError(f"IncompleteContext: sibling {sib} unknown")
         context_members |= c.allowed_supports
+    context = PoleConstraint(frozenset(context_members))
     if not context_members:
-        return PoleConstraint.analytic()
-    return PoleConstraint(
+        return context, PoleConstraint.analytic()
+    return context, PoleConstraint(
         frozenset(a & b for a in prior.allowed_supports for b in context_members)
     )
 
@@ -225,17 +232,10 @@ def deduce(p: int, q: int) -> ProofTrace:
                     base = sym(frozenset(base_tuple))
                     if not get(base).is_analytic:
                         continue
-                    terms = equality_terms(base)
-                    context_members = set()
-                    for sib in terms:
-                        if sib == target:
-                            continue
-                        context_members |= get(sib).allowed_supports
-                    new = combine(target, base, known)
+                    # every sibling sits on this level, so `known` holds it
+                    context, new = _combine(target, base, known)
                     if new.allowed_supports != get(target).allowed_supports:
-                        steps.append(
-                            TraceStep(target, base, moved, PoleConstraint(frozenset(context_members)), new)
-                        )
+                        steps.append(TraceStep(target, base, moved, context, new))
                         known[target] = new
                         progress = True
                     if get(target).is_analytic:

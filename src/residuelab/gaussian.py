@@ -108,9 +108,6 @@ class QI:
     def conj(self) -> "QI":
         return QI(self.re, -self.im)
 
-    def is_rational(self) -> bool:
-        return not self.im
-
     def as_complex(self) -> complex:
         return complex(self.re) + 1j * complex(self.im)
 

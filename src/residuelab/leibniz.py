@@ -126,11 +126,6 @@ def check_units(chart: ChartSpec) -> None:
         )
 
 
-def column_form(chart: ChartSpec, i: int) -> Tuple[int, ...]:
-    """Raw coefficient vector of the stacked exponent column of variable x_i."""
-    return chart.column(i)
-
-
 def expand(chart: ChartSpec) -> List[MeroTerm]:
     check_units(chart)
     p = chart.p
@@ -150,7 +145,7 @@ def expand(chart: ChartSpec) -> List[MeroTerm]:
         for i in cols:
             if i in K:
                 continue
-            form = LinForm.normalize(column_form(chart, i))
+            form = LinForm.normalize(chart.column(i))
             t = form.axis_index()
             if t is not None:
                 seen_axis[t] = seen_axis.get(t, 0) + 1
@@ -216,16 +211,8 @@ def global_certificate(scenario: Scenario) -> PoleCertificate:
     )
 
 
-def certificate_shape_ok(cert: PoleCertificate, p: int) -> bool:
-    """Certificate forms must pair at least two of the first p parameters."""
-    for f in cert.forms:
-        s = f.support()
-        if len(s) < 2 or any(i > p for i in s):
-            return False
-    return True
-
-
 def shape_violations(cert: PoleCertificate, p: int) -> List[LinForm]:
+    """Certificate forms that fail to pair at least two of the first p parameters."""
     return [
         f
         for f in cert.sorted_forms()

@@ -10,7 +10,6 @@ hyperplane has exactly one representative.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 from typing import Optional, Sequence, Tuple
 
@@ -22,7 +21,8 @@ class ZeroFormError(ValueError):
     """Raised when the zero vector is offered as a linear form."""
 
 
-def _normalized(coeffs: Sequence[int], const: int = 0) -> Tuple[Tuple[int, ...], int]:
+def _normalized(coeffs: Sequence[int], const: int = 0) -> Tuple[Tuple[int, ...], int, int]:
+    """Primitive coefficients and constant plus the integer scale g with raw = g * form."""
     vec = tuple(int(c) for c in coeffs)
     if not any(vec):
         raise ZeroFormError("ZeroForm: a linear form needs a nonzero coefficient vector")
@@ -33,7 +33,7 @@ def _normalized(coeffs: Sequence[int], const: int = 0) -> Tuple[Tuple[int, ...],
     lead = next(c for c in vec if c)
     if lead < 0:
         g = -g
-    return tuple(c // g for c in vec), const // g
+    return tuple(c // g for c in vec), const // g, g
 
 
 @dataclass(frozen=True)
@@ -42,7 +42,7 @@ class LinForm:
 
     @staticmethod
     def normalize(raw: Sequence[int]) -> "LinForm":
-        vec, _ = _normalized(raw, 0)
+        vec, _, _ = _normalized(raw, 0)
         return LinForm(vec)
 
     @property
@@ -84,7 +84,7 @@ class AffineForm:
 
     @staticmethod
     def normalize(raw: Sequence[int], const: int = 0) -> "AffineForm":
-        vec, c0 = _normalized(raw, const)
+        vec, c0, _ = _normalized(raw, const)
         return AffineForm(vec, c0)
 
     @property
@@ -155,25 +155,7 @@ def normalize(raw: Sequence[int]) -> LinForm:
     return LinForm.normalize(raw)
 
 
-def normalize_affine_scaled(coeffs: Sequence[int], const: int = 0) -> Tuple["AffineForm", int]:
-    """Primitive affine form plus the integer scale g with raw = g * form."""
-    vec = tuple(int(c) for c in coeffs)
-    if not any(vec):
-        raise ZeroFormError("ZeroForm: a linear form needs a nonzero coefficient vector")
-    g = 0
-    for c in vec:
-        g = gcd(g, abs(c))
-    g = gcd(g, abs(const))
-    lead = next(c for c in vec if c)
-    if lead < 0:
-        g = -g
-    return AffineForm(tuple(c // g for c in vec), const // g), g
-
-
 def axis_proportional(f: LinForm) -> Optional[int]:
     """1-based axis index when the normalized form is a unit coordinate form."""
     return f.axis_index()
 
-
-def rational_point(values: Sequence) -> Tuple[Fraction, ...]:
-    return tuple(Fraction(v) for v in values)

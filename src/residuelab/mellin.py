@@ -9,17 +9,16 @@ independent numeric cross-check in the absolute-convergence zone.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .charts import ChartSpec, Scenario, SeparableTerm
+from .charts import ChartSpec, Factor, Scenario, SeparableTestForm
 from .gaussian import QI
 from .leibniz import check_units, subset_determinant
-from .linform import LinForm, normalize_affine_scaled
+from .linform import AffineForm, LinForm, _normalized
 from .merovalue import MeroValue, TokenScalar
 from .orientation import dbar_front_sign
 from .poly import Poly
@@ -50,9 +49,9 @@ def _mellin_sum(nvars: int, mu_vec: Sequence[int], shift: int, rho: RadialProfil
                 )
             total = total + MeroValue.const(nvars, QI.of(Fraction(c, d)))
         else:
-            form, g = normalize_affine_scaled(mu_vec, d)
+            vec, const, g = _normalized(mu_vec, d)
             piece = MeroValue.from_poly(
-                Poly.const(nvars, QI.of(c) / g), [(form, 1)]
+                Poly.const(nvars, QI.of(c) / g), [(AffineForm(vec, const), 1)]
             )
             total = total + piece
     return total
@@ -76,19 +75,56 @@ def radial_integral(mu: LinForm, c: int, rho: RadialProfile) -> MeroValue:
     return (s * QI.of(0, Fraction(-1, 2))).mul_token(1)
 
 
-def radial_extreme_pole(shift: int, rho: RadialProfile) -> Optional[Fraction]:
-    """Largest pole location of the shifted Mellin transform in the composite variable."""
-    terms = rho.mellin_terms()
-    if not terms:
-        return None
-    kmin = min(k for k, _ in terms)
-    return Fraction(-(shift + kmin + 1))
-
-
 def _resolve_chart(scenario: Scenario, chart: Union[ChartSpec, str]) -> ChartSpec:
     if isinstance(chart, str):
         return scenario.chart(chart)
     return chart
+
+
+@dataclass(frozen=True)
+class PlannedTerm:
+    """A test-form term that survives angular selection on one chart.
+
+    `variables` holds, per variable x_i in order, (column, u, v, factor): the
+    variable integrates |x|^(2 mu) x^u conj(x)^v rho(|x|^2) with mu the column
+    paired against the parameters, and vanishes by angular selection when
+    u != v.
+    """
+
+    coeff: QI
+    det: int
+    sign: int
+    variables: Tuple[Tuple[Tuple[int, ...], int, int, Factor], ...]
+
+
+def term_plan(chart: ChartSpec, testform: SeparableTestForm, N: int) -> Tuple[PlannedTerm, ...]:
+    """The terms of the test form that the chart integral can see.
+
+    A term survives when its coefficient is nonzero, it has top degree
+    (exactly n - p conjugate slots), and the subset determinant of the chart's
+    derivative rows on its holomorphic variables is nonzero.  `sign` is the
+    wedge sign of moving those variables' conjugate differentials in front.
+    """
+    n, p = chart.n, chart.p
+    columns = [chart.column(i) for i in range(1, n + 1)]
+    plan = []
+    for term in testform.terms:
+        if not term.coeff or len(term.dbar_slots) != n - p:
+            continue
+        I = [i for i in range(1, n + 1) if i not in term.dbar_slots]
+        det = subset_determinant(chart.alpha, I)
+        if det == 0:
+            continue
+        variables = []
+        for i in range(1, n + 1):
+            f = term.factors[i - 1]
+            u = f.a + chart.jac[i - 1] - N * sum(columns[i - 1])
+            # variables carrying a derivative differential pick up 1/conj(x)
+            v = f.b - (0 if i in term.dbar_slots else 1)
+            variables.append((columns[i - 1], u, v, f))
+        sign = dbar_front_sign(I, n, term.dbar_slots)
+        plan.append(PlannedTerm(term.coeff, det, sign, tuple(variables)))
+    return tuple(plan)
 
 
 def mellin_exact(scenario: Scenario, chart: Union[ChartSpec, str]) -> MeroValue:
@@ -96,36 +132,21 @@ def mellin_exact(scenario: Scenario, chart: Union[ChartSpec, str]) -> MeroValue:
     chart = _resolve_chart(scenario, chart)
     sig = scenario.signature
     check_units(chart)
-    tf = scenario.testform(chart.name)
-    n, p, N = sig.n, sig.p, sig.N
+    plan = term_plan(chart, scenario.testform(chart.name), sig.N)
     nv = sig.nfactors
-    columns = [chart.column(i) for i in range(1, n + 1)]
-    coltot = [sum(col) for col in columns]
     axis_poly = Poly.const(nv, QI.one())
-    if p:
-        exps = [1] * p + [0] * (nv - p)
+    if sig.p:
+        exps = [1] * sig.p + [0] * (nv - sig.p)
         axis_poly = Poly.monomial(nv, exps, QI.one())
     result = MeroValue.zero(nv)
-    for term in tf.terms:
-        if not term.coeff:
-            continue
-        D = sorted(term.dbar_slots)
-        I = [i for i in range(1, n + 1) if i not in term.dbar_slots]
-        det = subset_determinant(chart.alpha, I)
-        if det == 0:
-            continue
-        sgn = dbar_front_sign(I, n, D)
-        scalar = term.coeff * (det * sgn * chart.sign)
+    for term in plan:
+        scalar = term.coeff * (term.det * term.sign * chart.sign)
         val = MeroValue.const(nv, scalar).mul_poly(axis_poly)
-        for i in range(1, n + 1):
-            f = term.factors[i - 1]
-            u = f.a + chart.jac[i - 1] - N * coltot[i - 1]
-            # variables carrying a derivative differential pick up 1/conj(x)
-            v = f.b - (0 if i in term.dbar_slots else 1)
+        for column, u, v, f in term.variables:
             if u != v:
                 val = MeroValue.zero(nv)
                 break
-            fac = radial_factor(nv, columns[i - 1], u, f.rho)
+            fac = radial_factor(nv, column, u, f.rho)
             if fac.is_zero():
                 val = MeroValue.zero(nv)
                 break
@@ -162,20 +183,6 @@ class QuadResult:
     error: float
 
 
-def _pmap(fn, items):
-    try:
-        workers = int(os.environ.get("RML_THREADS", "1"))
-    except ValueError:
-        workers = 1
-    items = list(items)
-    if workers > 1 and len(items) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            return list(ex.map(fn, items))
-    return [fn(x) for x in items]
-
-
 def _quad_variable(mu: complex, u: int, v: int, rho: RadialProfile, nr: int, nt: int) -> complex:
     """Numeric integral over C of |x|^(2 mu) x^u conj(x)^v rho(|x|^2) dx ^ conj(dx)."""
     if rho.is_zero():
@@ -200,37 +207,20 @@ def _quad_variable(mu: complex, u: int, v: int, rho: RadialProfile, nr: int, nt:
 
 
 def _quad_total(
-    scenario: Scenario, chart: ChartSpec, lam: Sequence[complex], nr: int, nt: int
+    plan: Sequence[PlannedTerm], chart_sign: int, p: int, lam: Sequence[complex], nr: int, nt: int
 ) -> complex:
-    sig = scenario.signature
-    n, p, N = sig.n, sig.p, sig.N
-    tf = scenario.testform(chart.name)
-    columns = [chart.column(i) for i in range(1, n + 1)]
-    coltot = [sum(col) for col in columns]
-
-    def term_value(term: SeparableTerm) -> complex:
-        if not term.coeff:
-            return 0j
-        D = sorted(term.dbar_slots)
-        I = [i for i in range(1, n + 1) if i not in term.dbar_slots]
-        det = subset_determinant(chart.alpha, I)
-        if det == 0:
-            return 0j
-        sgn = dbar_front_sign(I, n, D)
-        total = term.coeff.as_complex() * det * sgn * chart.sign
+    def term_value(term: PlannedTerm) -> complex:
+        total = term.coeff.as_complex() * term.det * term.sign * chart_sign
         for t in range(p):
             total *= lam[t]
-        for i in range(1, n + 1):
-            f = term.factors[i - 1]
-            u = f.a + chart.jac[i - 1] - N * coltot[i - 1]
-            v = f.b - (0 if i in term.dbar_slots else 1)
-            mu = sum(c * lam[j] for j, c in enumerate(columns[i - 1]))
+        for column, u, v, f in term.variables:
+            mu = sum(c * lam[j] for j, c in enumerate(column))
             total *= _quad_variable(mu, u, v, f.rho, nr, nt)
             if not total:
                 return 0j
         return total
 
-    return sum(_pmap(term_value, tf.terms))
+    return sum([term_value(term) for term in plan], 0j)
 
 
 def mellin_quadrature(
@@ -254,11 +244,13 @@ def mellin_quadrature(
         raise ValueError(f"expected {sig.nfactors} parameter values")
     if any(z.real < 2 for z in lam):
         raise ValueError("quadrature needs Re(lambda_j) >= 2 (absolute convergence zone)")
+    testform = scenario.testform(chart.name)
     max_twist = 0
-    for term in scenario.testform(chart.name).terms:
+    for term in testform.terms:
         for f in term.factors:
             max_twist = max(max_twist, abs(f.a - f.b) + 1)
     nt = max(base_angles, 4 * max_twist)
-    coarse = _quad_total(scenario, chart, lam, base_nodes, nt)
-    fine = _quad_total(scenario, chart, lam, 2 * base_nodes, 2 * nt)
+    plan = term_plan(chart, testform, sig.N)
+    coarse = _quad_total(plan, chart.sign, sig.p, lam, base_nodes, nt)
+    fine = _quad_total(plan, chart.sign, sig.p, lam, 2 * base_nodes, 2 * nt)
     return QuadResult(fine, abs(fine - coarse))

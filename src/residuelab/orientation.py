@@ -29,11 +29,3 @@ def dbar_front_sign(dbar_front: Iterable[int], n: int, dbar_slots: Iterable[int]
         + [2 * (j - 1) + 1 for j in sorted(dbar_slots)]
     )
     return inversion_parity(seq)
-
-
-def tube_sign(n: int, dbar_slots: Iterable[int]) -> int:
-    """Sign for (dx_1..dx_n) ^ (conj dx_{j in slots}) against the block order."""
-    seq = [2 * (i - 1) for i in range(1, n + 1)] + [
-        2 * (j - 1) + 1 for j in sorted(dbar_slots)
-    ]
-    return inversion_parity(seq)

@@ -50,9 +50,6 @@ class Poly:
     def __bool__(self) -> bool:
         return bool(self.terms)
 
-    def copy(self) -> "Poly":
-        return Poly(self.nvars, dict(self.terms))
-
     def __add__(self, other: "Poly") -> "Poly":
         if self.nvars != other.nvars:
             raise ValueError("arity mismatch")
@@ -112,11 +109,6 @@ class Poly:
         if not self.terms:
             return -1
         return max(e[j] for e in self.terms)
-
-    def total_degree(self) -> int:
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
 
     def coeff_of_power(self, j: int, d: int) -> "Poly":
         """Coefficient of x_j^d, as a polynomial with x_j-exponent zeroed."""

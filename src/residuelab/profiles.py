@@ -74,9 +74,6 @@ class RadialProfile:
     def is_zero(self) -> bool:
         return not self.pieces or all(not any(p) for p in self.pieces)
 
-    def support_end(self) -> Fraction:
-        return self.knots[-1] if self.knots else Fraction(0)
-
     def value(self, t):
         """Evaluate at an exact rational or a float."""
         if not self.knots:

@@ -15,9 +15,8 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .charts import ChartSpec, Scenario, SeparableTestForm
-from .mellin import mellin_exact
-from .orientation import dbar_front_sign
+from .charts import ChartSpec, ProblemSignature, Scenario, SeparableTestForm
+from .mellin import PlannedTerm, mellin_exact, term_plan
 
 
 class UnsupportedTubeError(ValueError):
@@ -78,6 +77,16 @@ def tube_spec_from_chart(chart: ChartSpec, eps: Sequence[Fraction]) -> TubeSpec:
     return TubeSpec(chart.n, tuple(vars_), tuple(ks), chart.p, tuple(eps))
 
 
+def _diagonal_chart(spec: TubeSpec) -> ChartSpec:
+    """Chart with the tube's diagonal data, parameters ordered tube-first."""
+    alpha = []
+    beta = []
+    for j, v in enumerate(spec.vars):
+        row = tuple(spec.ks[j] if i == v else 0 for i in range(1, spec.n + 1))
+        (alpha if j < spec.p else beta).append(row)
+    return ChartSpec("tube", tuple(alpha), tuple(beta), (0,) * spec.n, 1)
+
+
 def tube_integral(spec: TubeSpec, testform: SeparableTestForm) -> complex:
     """Separable evaluation: circles for residue factors, exteriors for
     principal-value factors, full planes for spectator variables.
@@ -87,47 +96,37 @@ def tube_integral(spec: TubeSpec, testform: SeparableTestForm) -> complex:
     with the block sign of moving the circle directions in front of the
     ambient orientation and one flip per residue factor.
     """
-    circle_vars = set(spec.vars[: spec.p])
-    role = {v: ("circle" if j < spec.p else "pv", spec.ks[j], spec.eps[j]) for j, v in enumerate(spec.vars)}
+    return _tube_value(term_plan(_diagonal_chart(spec), testform, 1), spec)
+
+
+def _tube_value(plan: Sequence[PlannedTerm], spec: TubeSpec) -> complex:
+    """Tube integral of the planned terms of the diagonal chart of `spec`.
+
+    On that chart, factor row j is the only nonzero entry of its variable's
+    column, so the column tells circle (j < p), exterior (j >= p) and
+    spectator (zero column) apart.
+    """
     total = 0j
-    for term in testform.terms:
-        if not term.coeff:
-            continue
-        if circle_vars & term.dbar_slots:
-            continue  # a conjugate differential dies on its own circle
-        if set(range(1, spec.n + 1)) - circle_vars != set(term.dbar_slots):
-            continue  # missing conjugate differential: not a top form on the tube
-        sgn = dbar_front_sign(sorted(circle_vars), spec.n, term.dbar_slots) * (
-            (-1) ** len(circle_vars)
-        )
-        val = complex(term.coeff.as_complex()) * sgn
-        for i in range(1, spec.n + 1):
-            f = term.factors[i - 1]
-            if i in role:
-                kind, k, eps = role[i]
-            else:
-                kind, k, eps = "spectator", 0, Fraction(0)
-            if kind == "circle":
+    for term in plan:
+        val = complex(term.coeff.as_complex()) * (term.sign * (-1) ** spec.p)
+        for column, u, v, f in term.variables:
+            if u != v:
+                val = 0j
+                break
+            j = next((j for j, c in enumerate(column) if c), None)
+            if j is None:
+                val *= -2j * np.pi * float(f.rho.moment(f.a))
+            elif j < spec.p:
                 # integral over |x|^(2k) = eps of x^a conj(x)^b rho / x^k dx
-                if f.a - f.b - k + 1 != 0:
-                    val = 0j
-                    break
-                t0 = float(eps) ** (1.0 / k)
+                t0 = float(spec.eps[j]) ** (1.0 / column[j])
                 val *= 2j * np.pi * t0 ** f.b * f.rho.value(t0)
-            elif kind == "pv":
-                if f.a - f.b - k != 0:
-                    val = 0j
-                    break
+            else:
+                k, eps = column[j], spec.eps[j]
                 if k == 1:
                     tail = float(f.rho.moment_tail(f.b, Fraction(eps)))
                 else:
                     tail = _moment_tail_float(f.rho, f.b, float(eps) ** (1.0 / k))
                 val *= -2j * np.pi * tail
-            else:
-                if f.a != f.b:
-                    val = 0j
-                    break
-                val *= -2j * np.pi * float(f.rho.moment(f.a))
             if not val:
                 break
         total += val
@@ -196,7 +195,8 @@ def admissible_limit(
     if not path.ratio_condition_ok():
         raise ValueError("path does not satisfy the admissible ratio condition")
     ts = [t0 * Fraction(1, 2) ** j for j in range(samples)]
-    vals = [tube_integral(spec.with_eps(path.eps_at(t)), testform) for t in ts]
+    plan = term_plan(_diagonal_chart(spec), testform, 1)
+    vals = [_tube_value(plan, spec.with_eps(path.eps_at(t))) for t in ts]
     seq = list(vals)
     # iterated Aitken acceleration; geometric t-sampling makes power-law
     # corrections geometric, which Aitken removes
@@ -264,8 +264,10 @@ def mellin_check(
     if spec.n != m:
         raise UnsupportedTubeError("mellin_check needs every variable in the tube")
     order = list(spec.vars)
-    scenario = _diagonal_scenario_from(spec, testform)
-    exact = mellin_exact(scenario, scenario.charts[0])
+    chart = _diagonal_chart(spec)
+    scenario = Scenario(ProblemSignature(spec.n, spec.p, spec.q, 1), (chart,), {chart.name: testform})
+    exact = mellin_exact(scenario, chart)
+    plan = term_plan(chart, testform, 1)
 
     # knots of the tube integrand in each s_j: images of profile knots
     supports = []
@@ -290,9 +292,7 @@ def mellin_check(
             for a, b in _panels(supports[0]):
                 s = 0.5 * (b - a) * gl_nodes + 0.5 * (b + a)
                 w = 0.5 * (b - a) * gl_w
-                vals = np.array(
-                    [tube_integral(spec.with_eps([Fraction(x)]), testform) for x in s]
-                )
+                vals = np.array([_tube_value(plan, spec.with_eps([Fraction(x)])) for x in s])
                 total += np.sum(w * vals * _mellin_weight(lam[0], s))
         else:
             for a1, b1 in _panels(supports[0]):
@@ -304,9 +304,7 @@ def mellin_check(
                     for x1, ww1 in zip(s1, w1):
                         vals = np.array(
                             [
-                                tube_integral(
-                                    spec.with_eps([Fraction(x1), Fraction(x2)]), testform
-                                )
+                                _tube_value(plan, spec.with_eps([Fraction(x1), Fraction(x2)]))
                                 for x2 in s2
                             ]
                         )
@@ -319,18 +317,3 @@ def mellin_check(
         rows.append(MellinCheckRow(tuple(lam), complex(total), ref, float(rel), sign))
     return rows
 
-
-def _diagonal_scenario_from(spec: TubeSpec, testform: SeparableTestForm) -> Scenario:
-    """Scenario with the same diagonal data, parameters ordered tube-first."""
-    from .charts import ProblemSignature, Scenario as Sc, ChartSpec as Ch
-
-    n = spec.n
-    p, q = spec.p, spec.q
-    alpha = []
-    beta = []
-    for j, v in enumerate(spec.vars):
-        row = tuple(spec.ks[j] if i == v else 0 for i in range(1, n + 1))
-        (alpha if j < p else beta).append(row)
-    chart = Ch("tube", tuple(alpha), tuple(beta), (0,) * n, 1)
-    sig = ProblemSignature(n=n, p=p, q=q, N=1)
-    return Sc(sig, (chart,), {"tube": testform})

@@ -109,6 +109,21 @@ def test_tube_command(capsys, diagonal_file):
     assert "limit-matches-origin-value" in names
 
 
+def test_tube_tol_tightens_origin_value_check(capsys, diagonal_file):
+    code, out = run(capsys, "tube", diagonal_file, "--tol", "1e-20", "--format", "json")
+    assert code == 1
+    verdicts = {v["name"]: v["pass"] for v in json.loads(out)["verdicts"]}
+    assert verdicts["limit-matches-origin-value"] is False
+
+
+def test_flags_only_on_commands_that_read_them(capsys, blowup_file):
+    assert main(["poles", blowup_file, "--seed", "3"]) == 2
+    capsys.readouterr()
+    code, out = run(capsys, "poles", blowup_file, "--format", "json")
+    assert code == 0
+    assert json.loads(out)["inputs"]["options"] == {"format": "json", "scenario": blowup_file}
+
+
 def test_mellin_check_command(capsys, diagonal_file):
     code, out = run(capsys, "mellin-check", diagonal_file, "--lam", "3,3", "--format", "json")
     assert code == 0

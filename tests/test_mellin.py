@@ -23,6 +23,8 @@ from residuelab import (
     mellin_quadrature,
     radial_integral,
     residue_on,
+    tube_integral,
+    tube_spec_from_chart,
     value_at_origin,
 )
 from residuelab.linform import AffineForm
@@ -122,6 +124,18 @@ def test_derivative_slot_value():
 def test_angular_twist_gives_zero():
     sc = simple_scenario(0, 1, a=2, b=0)
     assert mellin_exact(sc, "c").is_zero()
+
+
+@pytest.mark.parametrize("slots", [set(), {1, 2}])
+def test_terms_below_top_degree_vanish_in_every_evaluator(slots):
+    # n = 2, p = 1 needs exactly one conjugate slot; other terms are not top forms
+    chart = ChartSpec("c", ((1, 0),), (), (0, 0), 1)
+    factors = (Factor(0, 0, RadialProfile.bump(2)), Factor(0, 1, RadialProfile.on_unit([1])))
+    tf = SeparableTestForm((SeparableTerm(QI.one(), factors, frozenset(slots)),))
+    sc = Scenario(ProblemSignature(n=2, p=1, q=0), (chart,), {"c": tf})
+    assert mellin_exact(sc, chart).is_zero()
+    assert mellin_quadrature(sc, chart, [3.0]).value == 0
+    assert tube_integral(tube_spec_from_chart(chart, [Fraction(1, 4)]), tf) == 0
 
 
 # --- blow-up example ----------------------------------------------------------

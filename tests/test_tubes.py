@@ -89,6 +89,19 @@ def test_pv_limit_matches_closed_form():
     assert res.converged
 
 
+def test_admissible_limit_samples_equal_tube_integrals():
+    sc = diagonal_scenario([1, 2], p=1)
+    chart = sc.charts[0]
+    tf = sc.testform(chart.name)
+    spec = tube_spec_from_chart(chart, [Fraction(1, 4)] * 2)
+    path = AdmissiblePath.default(2)
+    res = admissible_limit(spec, tf, path, samples=6)
+    ts = [Fraction(1, 2) ** (j + 1) for j in range(6)]
+    direct = tuple(tube_integral(spec.with_eps(path.eps_at(t)), tf) for t in ts)
+    assert any(direct)
+    assert [repr(z) for z in res.samples] == [repr(z) for z in direct]
+
+
 def test_admissible_path_ratio_condition():
     path = AdmissiblePath.default(3, M=10)
     assert path.ratio_condition_ok()
