@@ -122,8 +122,11 @@ def _load_scenario(path: str) -> tuple[Scenario, dict]:
     return scenario, {"scenario": str(p), "sha256": _sha256(p)}
 
 
-def _fractions(text: str) -> List[Fraction]:
-    return [Fraction(tok.strip()) for tok in text.split(",") if tok.strip()]
+def _fractions(text: str, flag: str) -> List[Fraction]:
+    try:
+        return [Fraction(tok.strip()) for tok in text.split(",") if tok.strip()]
+    except ZeroDivisionError:
+        raise ScenarioError(flag, "zero denominator") from None
 
 
 def _ints(text: str) -> List[int]:
@@ -189,7 +192,7 @@ def cmd_eval(args, report: Report) -> None:
     scenario, inputs = _load_scenario(args.scenario)
     report.inputs.update(inputs)
     name = args.chart or scenario.charts[0].name
-    lam = _fractions(args.lam)
+    lam = _fractions(args.lam, "--lam")
     if len(lam) != scenario.signature.nfactors:
         raise ScenarioError("--lam", f"expected {scenario.signature.nfactors} values")
     value = mellin_exact(scenario, name)
@@ -228,7 +231,7 @@ def cmd_residue(args, report: Report) -> None:
     scenario, inputs = _load_scenario(args.scenario)
     report.inputs.update(inputs)
     form = LinForm.normalize(_ints(args.form))
-    point = _fractions(args.point)
+    point = _fractions(args.point, "--point")
     total = QI.zero()
     power = 0
     for chart in scenario.charts:
@@ -252,7 +255,7 @@ def cmd_tube(args, report: Report) -> None:
     chart = scenario.chart(name)
     testform = scenario.testform(name)
     count = scenario.signature.nfactors
-    eps = _fractions(args.eps) if args.eps else [Fraction(1, 100)] * count
+    eps = _fractions(args.eps, "--eps") if args.eps else [Fraction(1, 100)] * count
     spec = tube_spec_from_chart(chart, eps)
     val = tube_integral(spec, testform)
     report.results["tube_integral"] = _complex_obj(val)
@@ -262,7 +265,8 @@ def cmd_tube(args, report: Report) -> None:
     limit = admissible_limit(spec, testform, path)
     report.results["admissible_limit"] = _complex_obj(limit.value)
     report.results["limit_error"] = limit.error
-    report.verdict("limit-converged", limit.converged, value=limit.error, tolerance=args.tol)
+    # the verdict compares what it reports; limit.converged scales tol by |limit|
+    report.verdict("limit-converged", limit.error <= args.tol, value=limit.error, tolerance=args.tol)
     value = mellin_exact(scenario, chart).reduced()
     if not value.hyperplane_forms():
         ref = value_at_origin(value).as_complex()
@@ -279,7 +283,9 @@ def cmd_mellin_check(args, report: Report) -> None:
     testform = scenario.testform(name)
     eps = [Fraction(1, 100)] * scenario.signature.nfactors
     spec = tube_spec_from_chart(chart, eps)
-    lambdas = [ _fractions(tok) for tok in args.lam ]
+    lambdas = [_fractions(tok, "--lam") for tok in args.lam]
+    if any(len(lam) != scenario.signature.nfactors for lam in lambdas):
+        raise ScenarioError("--lam", f"expected {scenario.signature.nfactors} values")
     rows = mellin_check(spec, testform, [[complex(x) for x in lam] for lam in lambdas])
     signs = set()
     for row in rows:
@@ -300,12 +306,16 @@ def cmd_divlemma(args, report: Report) -> None:
     if not p.exists():
         raise ScenarioError(args.file, "file not found")
     obj = json.loads(p.read_text())
+    if not isinstance(obj, dict):
+        raise ScenarioError(args.file, "expected a JSON object")
     report.inputs["file"] = str(p)
     report.inputs["sha256"] = _sha256(p)
     n = obj.get("n")
     if not isinstance(n, int) or n < 1:
         raise ScenarioError("n", "need a positive dimension")
     K = obj.get("K", [])
+    if "psi" not in obj:
+        raise ScenarioError("psi", "missing")
     psi = form_from_obj(obj["psi"], n, "psi")
     omega = (
         form_from_obj(obj["omega"], n, "omega")

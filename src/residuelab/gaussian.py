@@ -33,10 +33,6 @@ class QI:
     def one() -> "QI":
         return QI(Fraction(1))
 
-    @staticmethod
-    def i() -> "QI":
-        return QI(Fraction(0), Fraction(1))
-
     def __bool__(self) -> bool:
         return bool(self.re) or bool(self.im)
 
@@ -86,27 +82,6 @@ class QI:
         if n == 0:
             raise ZeroDivisionError("division by zero in Q(i)")
         return QI((self.re * o.re + self.im * o.im) / n, (self.im * o.re - self.re * o.im) / n)
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o / self
-
-    def __pow__(self, k: int) -> "QI":
-        if k < 0:
-            return QI.one() / self ** (-k)
-        out = QI.one()
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
-    def conj(self) -> "QI":
-        return QI(self.re, -self.im)
 
     def as_complex(self) -> complex:
         return complex(self.re) + 1j * complex(self.im)

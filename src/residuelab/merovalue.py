@@ -6,21 +6,43 @@ A MeroValue is
 
 with num a polynomial over Q(i) and every denominator factor a normalized
 integer affine form.  The 2*pi*i token stays symbolic, so pi never enters
-the exact engine.  reduce() cancels denominator forms dividing the
-numerator; after reduction the representation is canonical (affine forms
-are irreducible and Q(i)[L] has unique factorization), so equality is
-structural.
+the exact engine.
+
+The numerator is stored as Gaussian-integer coefficients, (re, im) pairs of
+Python ints, over one positive integer content:
+num = sum_e (re_e + i*im_e) * L^e / content, with the content coprime to
+every re_e and im_e.  All arithmetic runs on ints.  Division by a form is
+synthetic division along its pivot variable: the forms are primitive, so by
+Gauss's lemma over Z[i] the quotient of a divisible numerator is integral,
+and a step that leaves Z[i] proves that the form does not divide.
+
+reduced() cancels every denominator form dividing the numerator; after
+reduction the representation is canonical (affine forms are irreducible and
+Q(i)[L] has unique factorization), so equality is structural.  A value
+carries a reduced mark, so reducing a canonical value costs nothing, and
+arithmetic on canonical values tests only the forms that can cancel.  In a
+sum a/b + c/d over the common denominator, a form with a higher
+multiplicity in b than in d divides the cross term c*(lcm/d) but not
+a*(lcm/b), so only forms with the same multiplicity in b and d can cancel.
+In a product, a form of one factor's denominator can cancel only against
+the other factor's numerator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Sequence, Tuple
+from itertools import chain
+from math import gcd, lcm
+from operator import add, sub
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .gaussian import QI
 from .linform import AffineForm, LinForm
-from .poly import Poly
+from .poly import Exponent, Poly
+
+# Gaussian-integer polynomial: exponent tuple -> (re, im), no zero entries.
+Terms = Dict[Exponent, Tuple[int, int]]
 
 
 class MeroError(ValueError):
@@ -122,7 +144,87 @@ def divides_affine(p: Poly, form: AffineForm) -> bool:
 _PRIME = (1 << 61) - 1
 
 
-def _vanishes_on_form(p: Poly, form: AffineForm) -> bool:
+def _scalar(c) -> Tuple[int, int, int]:
+    """c in Q(i) as (re, im, d) with c = (re + i*im) / d, d > 0 and gcd(re, im, d) = 1."""
+    c = c if isinstance(c, QI) else QI.of(c)
+    d = lcm(c.re.denominator, c.im.denominator)
+    return c.re.numerator * (d // c.re.denominator), c.im.numerator * (d // c.im.denominator), d
+
+
+def _canon(terms: Terms, content: int) -> Tuple[Terms, int]:
+    """Divide the common factor of the content and every coefficient out of both."""
+    g = gcd(content, *chain.from_iterable(terms.values())) if content > 1 else 1
+    if g == 1:
+        return terms, content
+    return {e: (re // g, im // g) for e, (re, im) in terms.items()}, content // g
+
+
+def _add(a: Terms, b: Terms) -> Terms:
+    out = dict(a)
+    for e, c in b.items():
+        s = out.get(e)
+        if s is None:
+            out[e] = c
+        elif s[0] + c[0] or s[1] + c[1]:
+            out[e] = (s[0] + c[0], s[1] + c[1])
+        else:
+            del out[e]
+    return out
+
+
+def _mul(a: Terms, b: Terms) -> Terms:
+    out: Terms = {}
+    get = out.get
+    for ea, (ar, ai) in a.items():
+        for eb, (br, bi) in b.items():
+            e = tuple(map(add, ea, eb))
+            s = get(e)
+            if s is None:
+                out[e] = (ar * br - ai * bi, ar * bi + ai * br)
+            else:
+                out[e] = (s[0] + ar * br - ai * bi, s[1] + ar * bi + ai * br)
+    return {e: c for e, c in out.items() if c[0] or c[1]}
+
+
+def _scale(a: Terms, re: int, im: int = 0) -> Terms:
+    if not im:
+        return a if re == 1 else {e: (x * re, y * re) for e, (x, y) in a.items()}
+    return {e: (x * re - y * im, x * im + y * re) for e, (x, y) in a.items()}
+
+
+def _unit(nvars: int, j: int) -> Exponent:
+    return (0,) * j + (1,) + (0,) * (nvars - j - 1)
+
+
+def _form_terms(form: AffineForm, skip: int = -1) -> List[Tuple[Exponent, int]]:
+    """The form's nonzero terms as (exponent, coefficient), leaving out variable `skip`."""
+    out = [(_unit(form.nvars, j), c) for j, c in enumerate(form.coeffs) if c and j != skip]
+    if form.const:
+        out.append(((0,) * form.nvars, form.const))
+    return out
+
+
+def _times_forms(terms: Terms, forms: Iterable[Tuple[AffineForm, int]]) -> Terms:
+    """terms * prod form^k, one real form at a time."""
+    for f, k in forms:
+        fterms = _form_terms(f)
+        for _ in range(k):
+            out: Terms = {}
+            get = out.get
+            for e, (re, im) in terms.items():
+                for u, c in fterms:
+                    t = tuple(map(add, e, u))
+                    s = get(t)
+                    out[t] = (re * c, im * c) if s is None else (s[0] + re * c, s[1] + im * c)
+            terms = {e: c for e, c in out.items() if c[0] or c[1]}
+    return terms
+
+
+def _pivot(form: AffineForm) -> int:
+    return next(j for j, c in enumerate(form.coeffs) if c)
+
+
+def _vanishes(terms: Terms, form: AffineForm) -> bool:
     """Cheap necessary test: evaluate modulo a large prime at a point of the
     form's zero hyperplane.
 
@@ -131,46 +233,74 @@ def _vanishes_on_form(p: Poly, form: AffineForm) -> bool:
     the exact division.
     """
     P = _PRIME
-    pivot = next(j for j, c in enumerate(form.coeffs) if c)
+    pivot = _pivot(form)
     a = form.coeffs[pivot] % P
-    values = [(2 * j + 3) % P for j in range(p.nvars)]
-    rest = (form.const + sum(
-        c * values[j] for j, c in enumerate(form.coeffs) if c and j != pivot
-    )) % P
-    values[pivot] = (-rest) * pow(a, P - 2, P) % P
-    degs = [0] * p.nvars
-    for e in p.terms:
-        for j, k in enumerate(e):
-            if k > degs[j]:
-                degs[j] = k
+    if not a:
+        return True  # cannot decide modulo P; let the exact division settle it
+    values = [2 * j + 3 for j in range(form.nvars)]
+    rest = form.const + sum(c * values[j] for j, c in enumerate(form.coeffs) if c and j != pivot)
+    values[pivot] = -rest * pow(a, -1, P) % P
     pows = []
-    for j in range(p.nvars):
-        row = [1] * (degs[j] + 1)
-        for d in range(1, degs[j] + 1):
-            row[d] = row[d - 1] * values[j] % P
+    for x, top in zip(values, map(max, zip(*terms))):
+        row = [1]
+        for _ in range(top):
+            row.append(row[-1] * x % P)
         pows.append(row)
-    inv_cache = {1: 1}
-
-    def inv(d: int) -> int:
-        r = inv_cache.get(d)
-        if r is None:
-            r = pow(d, P - 2, P)
-            inv_cache[d] = r
-        return r
-
     sre = sim = 0
-    for e, c in p.terms.items():
+    for e, (re, im) in terms.items():
         m = 1
-        for j, k in enumerate(e):
+        for row, k in zip(pows, e):
             if k:
-                m = m * pows[j][k] % P
-        dre = c.re.denominator % P
-        dim = c.im.denominator % P
-        if dre == 0 or dim == 0:
-            return True  # cannot decide modulo P; let the exact division settle it
-        sre = (sre + c.re.numerator * inv(dre) % P * m) % P
-        sim = (sim + c.im.numerator * inv(dim) % P * m) % P
-    return sre == 0 and sim == 0
+                m = m * row[k] % P
+        sre += re * m
+        sim += im * m
+    return sre % P == 0 and sim % P == 0
+
+
+def _divide(terms: Terms, form: AffineForm) -> Optional[Terms]:
+    """Exact quotient terms / form over Z[i], or None when the form does not divide.
+
+    Synthetic division along the pivot x: with form = a*x + r, the top
+    x-layer of the quotient is the top layer of terms over a, and each layer
+    subtracts r times the quotient layer above it.
+    """
+    pivot = _pivot(form)
+    a = form.coeffs[pivot]
+    rest = _form_terms(form, pivot)
+    layers: List[Terms] = [{} for _ in range(max(e[pivot] for e in terms) + 1)]
+    for e, c in terms.items():
+        layers[e[pivot]][e] = c
+    down = _unit(form.nvars, pivot)
+    quotient: Terms = {}
+    for d in range(len(layers) - 1, 0, -1):
+        below = layers[d - 1]
+        for e, (re, im) in layers[d].items():
+            if not (re or im):
+                continue
+            if re % a or im % a:
+                return None
+            qr, qi = re // a, im // a
+            qe = tuple(map(sub, e, down))
+            quotient[qe] = (qr, qi)
+            for u, c in rest:
+                t = tuple(map(add, qe, u))
+                s = below.get(t, (0, 0))
+                below[t] = (s[0] - qr * c, s[1] - qi * c)
+    if any(re or im for re, im in layers[0].values()):
+        return None
+    return quotient
+
+
+def _cancel(terms: Terms, den: Dict[AffineForm, int], forms: Iterable[AffineForm]) -> Terms:
+    """Divide each of `forms` out of terms as often as den allows, lowering den."""
+    for f in forms:
+        while den[f] and _vanishes(terms, f):
+            q = _divide(terms, f)
+            if q is None:
+                break
+            terms = q
+            den[f] -= 1
+    return terms
 
 
 def _merge_dens(entries: Iterable[Tuple[AffineForm, int]]) -> Tuple[Tuple[AffineForm, int], ...]:
@@ -184,66 +314,97 @@ def _merge_dens(entries: Iterable[Tuple[AffineForm, int]]) -> Tuple[Tuple[Affine
     return tuple(sorted(acc.items(), key=lambda t: t[0].sort_key()))
 
 
-@dataclass(frozen=True)
+def _frac_obj(x: int, content: int) -> List[int]:
+    g = gcd(x, content)
+    return [x // g, content // g]
+
+
 class MeroValue:
-    num: Poly
-    den: Tuple[Tuple[AffineForm, int], ...] = ()
-    token_pow: int = 0
+    """Build values with zero, const or from_poly; the constructor takes the
+    integer representation as is."""
+
+    __slots__ = ("nvars", "den", "token_pow", "_terms", "_content", "_reduced", "_num")
+
+    def __init__(self, nvars: int, terms: Terms, content: int = 1, den=(), token_pow: int = 0,
+                 reduced: bool = False):
+        self.nvars = nvars
+        self._terms = terms
+        self._content = content
+        self._num: Optional[Poly] = None
+        if not terms:
+            den, token_pow = (), 0
+        self.den: Tuple[Tuple[AffineForm, int], ...] = den
+        self.token_pow = token_pow
+        self._reduced = reduced or not den
+
+    @staticmethod
+    def _canonical(nvars: int, terms: Terms, content: int, den: Dict[AffineForm, int], token_pow: int,
+                   forms: Iterable[AffineForm]) -> "MeroValue":
+        """The reduced value, given that of the forms in den only `forms` can divide terms."""
+        terms = _cancel(terms, den, forms)
+        return MeroValue(nvars, terms, content, _merge_dens(den.items()), token_pow, True)
 
     @property
-    def nvars(self) -> int:
-        return self.num.nvars
+    def num(self) -> Poly:
+        """The numerator as a polynomial over Q(i)."""
+        if self._num is None:
+            c = self._content
+            p = Poly(self.nvars)
+            p.terms = {e: QI(Fraction(re, c), Fraction(im, c)) for e, (re, im) in self._terms.items()}
+            self._num = p
+        return self._num
 
     @staticmethod
     def zero(nvars: int) -> "MeroValue":
-        return MeroValue(Poly.zero(nvars))
+        return MeroValue(nvars, {})
 
     @staticmethod
     def const(nvars: int, c, token_pow: int = 0) -> "MeroValue":
-        c = c if isinstance(c, QI) else QI.of(c)
-        if not c:
+        re, im, d = _scalar(c)
+        if not (re or im):
             return MeroValue.zero(nvars)
-        return MeroValue(Poly.const(nvars, c), (), token_pow)
+        return MeroValue(nvars, {(0,) * nvars: (re, im)}, d, (), token_pow)
 
     @staticmethod
     def from_poly(num: Poly, den=(), token_pow: int = 0) -> "MeroValue":
-        if num.is_zero():
-            return MeroValue(num)
-        return MeroValue(num, _merge_dens(den), token_pow)
+        """num / prod form^mult, not yet reduced."""
+        parts = {e: _scalar(c) for e, c in num.terms.items()}
+        content = lcm(*(d for _, _, d in parts.values()))
+        terms = {e: (re * (content // d), im * (content // d)) for e, (re, im, d) in parts.items()}
+        return MeroValue(num.nvars, terms, content, _merge_dens(den), token_pow)
 
     def is_zero(self) -> bool:
-        return self.num.is_zero()
+        return not self._terms
 
     def __add__(self, other: "MeroValue") -> "MeroValue":
         if not isinstance(other, MeroValue):
             return NotImplemented
         if self.is_zero():
-            return other
+            return other.reduced()
         if other.is_zero():
-            return self
+            return self.reduced()
         if self.token_pow != other.token_pow:
             raise TokenPowerError(
                 f"cannot add token powers {self.token_pow} and {other.token_pow}"
             )
-        da = dict(self.den)
-        db = dict(other.den)
-        union: Dict[AffineForm, int] = dict(da)
+        a, b = self.reduced(), other.reduced()
+        da, db = dict(a.den), dict(b.den)
+        union = dict(da)
         for f, m in db.items():
             union[f] = max(union.get(f, 0), m)
-        na = self.num
-        nb = other.num
-        for f, m in union.items():
-            extra_a = m - da.get(f, 0)
-            extra_b = m - db.get(f, 0)
-            fp = f.as_poly()
-            for _ in range(extra_a):
-                na = na * fp
-            for _ in range(extra_b):
-                nb = nb * fp
-        return MeroValue.from_poly(na + nb, union.items(), self.token_pow).reduced()
+        ca, cb = a._content, b._content
+        g = gcd(ca, cb)
+        na = _times_forms(a._terms, [(f, m - da.get(f, 0)) for f, m in union.items()])
+        nb = _times_forms(b._terms, [(f, m - db.get(f, 0)) for f, m in union.items()])
+        terms, content = _canon(_add(_scale(na, cb // g), _scale(nb, ca // g)), ca // g * cb)
+        if not terms:
+            return MeroValue.zero(self.nvars)
+        same = [f for f, m in da.items() if db.get(f) == m]
+        return MeroValue._canonical(self.nvars, terms, content, union, self.token_pow, same)
 
     def __neg__(self) -> "MeroValue":
-        return MeroValue(-self.num, self.den, self.token_pow)
+        terms = {e: (-re, -im) for e, (re, im) in self._terms.items()}
+        return MeroValue(self.nvars, terms, self._content, self.den, self.token_pow, self._reduced)
 
     def __sub__(self, other: "MeroValue") -> "MeroValue":
         return self + (-other)
@@ -252,16 +413,22 @@ class MeroValue:
         if isinstance(other, MeroValue):
             if self.is_zero() or other.is_zero():
                 return MeroValue.zero(self.nvars)
-            return MeroValue.from_poly(
-                self.num * other.num,
-                list(self.den) + list(other.den),
-                self.token_pow + other.token_pow,
-            ).reduced()
+            a, b = self.reduced(), other.reduced()
+            da, db = dict(a.den), dict(b.den)
+            den = dict(da)
+            for f, m in db.items():
+                den[f] = den.get(f, 0) + m
+            na = _cancel(a._terms, den, [f for f in db if f not in da])
+            nb = _cancel(b._terms, den, [f for f in da if f not in db])
+            terms, content = _canon(_mul(na, nb), a._content * b._content)
+            return MeroValue(self.nvars, terms, content, _merge_dens(den.items()),
+                             a.token_pow + b.token_pow, True)
         if isinstance(other, (int, Fraction, QI)):
-            c = other if isinstance(other, QI) else QI.of(other)
-            if not c:
+            re, im, d = _scalar(other)
+            if not (re or im):
                 return MeroValue.zero(self.nvars)
-            return MeroValue(self.num.scale(c), self.den, self.token_pow)
+            terms, content = _canon(_scale(self._terms, re, im), self._content * d)
+            return MeroValue(self.nvars, terms, content, self.den, self.token_pow, self._reduced)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -269,37 +436,24 @@ class MeroValue:
     def mul_token(self, k: int) -> "MeroValue":
         if self.is_zero():
             return self
-        return MeroValue(self.num, self.den, self.token_pow + k)
+        return MeroValue(self.nvars, self._terms, self._content, self.den, self.token_pow + k, self._reduced)
 
     def div_form(self, form: AffineForm, mult: int = 1) -> "MeroValue":
         if self.is_zero():
             return self
-        return MeroValue.from_poly(self.num, list(self.den) + [(form, mult)], self.token_pow).reduced()
+        v = self.reduced()
+        den = dict(_merge_dens(list(v.den) + [(form, mult)]))
+        return MeroValue._canonical(v.nvars, v._terms, v._content, den, v.token_pow, [form] if mult else [])
 
     def mul_poly(self, p: Poly) -> "MeroValue":
-        if self.is_zero() or p.is_zero():
-            return MeroValue.zero(self.nvars)
-        return MeroValue.from_poly(self.num * p, self.den, self.token_pow).reduced()
+        return self * MeroValue.from_poly(p)
 
     def reduced(self) -> "MeroValue":
         """Cancel every denominator form dividing the numerator; idempotent."""
-        if self.num.is_zero():
-            return MeroValue.zero(self.nvars)
-        num = self.num
-        out: List[Tuple[AffineForm, int]] = []
-        for form, mult in self.den:
-            while mult > 0:
-                if not _vanishes_on_form(num, form):
-                    break
-                q, r = divmod_affine(num, form)
-                if r.is_zero():
-                    num = q
-                    mult -= 1
-                else:
-                    break
-            if mult:
-                out.append((form, mult))
-        return MeroValue(num, tuple(out), self.token_pow)
+        if self._reduced:
+            return self
+        den = dict(self.den)
+        return MeroValue._canonical(self.nvars, self._terms, self._content, den, self.token_pow, list(den))
 
     def denominator_forms(self) -> Tuple[Tuple[AffineForm, int], ...]:
         return self.den
@@ -313,20 +467,35 @@ class MeroValue:
         blocking = [f for f, _ in self.den if f.eval(point) == 0]
         if blocking:
             raise PoleAtPointError(blocking)
-        val = self.num.eval(point)
-        val = val if isinstance(val, QI) else QI.of(val)
+        # x_j = a_j / b_j: sum the numerator times prod b_j^top_j in integers
+        tops = [max((e[j] for e in self._terms), default=0) for j in range(self.nvars)]
+        pows = [
+            [x.numerator**k * x.denominator ** (top - k) for k in range(top + 1)]
+            for x, top in zip(point, tops)
+        ]
+        sre = sim = 0
+        for e, (re, im) in self._terms.items():
+            m = 1
+            for row, k in zip(pows, e):
+                m *= row[k]
+            sre += re * m
+            sim += im * m
+        scale = Fraction(self._content)
+        for x, top in zip(point, tops):
+            scale *= x.denominator**top
         for f, m in self.den:
-            d = QI.of(f.eval(point)) ** m
-            val = val / d
+            scale *= f.eval(point) ** m
+        val = QI(sre / scale, sim / scale)
         return TokenScalar(val, self.token_pow if val else 0)
 
     def eval_complex(self, point: Sequence[complex], token: complex | None = None) -> complex:
         import math
 
         tok = token if token is not None else 2j * math.pi
+        c = self._content
         num = 0j
-        for e, c in self.num.terms.items():
-            v = c.as_complex()
+        for e, (re, im) in sorted(self._terms.items()):
+            v = complex(re / c) + 1j * complex(im / c)
             for j, k in enumerate(e):
                 if k:
                     v *= point[j] ** k
@@ -359,7 +528,7 @@ class MeroValue:
         blocking = [f for f, _ in rest if f.eval(point) == 0]
         if blocking:
             raise PoleAtPointError(blocking)
-        stripped = MeroValue(v.num, tuple(rest), v.token_pow)
+        stripped = MeroValue(v.nvars, v._terms, v._content, tuple(rest), v.token_pow)
         return stripped.eval_rational(point)
 
     def __eq__(self, other):
@@ -367,25 +536,20 @@ class MeroValue:
             return NotImplemented
         a = self.reduced()
         b = other.reduced()
-        return (
-            a.num == b.num
-            and a.den == b.den
-            and (a.token_pow == b.token_pow or a.is_zero())
+        return (a.nvars, a._content, a.den, a.token_pow, a._terms) == (
+            b.nvars, b._content, b.den, b.token_pow, b._terms
         )
 
     def __hash__(self):
         a = self.reduced()
-        return hash((a.num, a.den, a.token_pow))
+        return hash((a.nvars, a._content, a.den, a.token_pow, frozenset(a._terms.items())))
 
     def to_obj(self) -> dict:
         """JSON-ready exact representation."""
+        c = self._content
         num = [
-            {
-                "exps": list(e),
-                "re": [c.re.numerator, c.re.denominator],
-                "im": [c.im.numerator, c.im.denominator],
-            }
-            for e, c in self.num.sorted_terms()
+            {"exps": list(e), "re": _frac_obj(re, c), "im": _frac_obj(im, c)}
+            for e, (re, im) in sorted(self._terms.items())
         ]
         den = [
             {"coeffs": list(f.coeffs), "const": f.const, "mult": m} for f, m in self.den

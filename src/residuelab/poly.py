@@ -122,30 +122,6 @@ class Poly:
         p.terms = out
         return p
 
-    def eval(self, values: Sequence):
-        """Evaluate at exact values; returns the coefficient field's zero-like value."""
-        if not self.terms:
-            return 0
-        degs = [0] * self.nvars
-        for e in self.terms:
-            for j, k in enumerate(e):
-                if k > degs[j]:
-                    degs[j] = k
-        pows = []
-        for j in range(self.nvars):
-            row = [1]
-            for _ in range(degs[j]):
-                row.append(row[-1] * values[j])
-            pows.append(row)
-        total = None
-        for e, c in self.terms.items():
-            v = c
-            for j, k in enumerate(e):
-                if k:
-                    v = v * pows[j][k]
-            total = v if total is None else total + v
-        return total
-
     def eval_partial(self, j: int, value) -> "Poly":
         """Substitute an exact scalar for x_j."""
         out = Poly(self.nvars)

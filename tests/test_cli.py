@@ -196,3 +196,47 @@ def test_json_reports_reproducible(capsys, blowup_file):
 def test_seeded_example3(capsys):
     code, _ = run(capsys, "example3", "--seed", "7")
     assert code == 0
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("eval", "{blowup}", "--lam", "1/0,1,1"), "--lam"),
+        (("residue", "{blowup}", "--form", "1,1,0", "--point", "1/0,1,1"), "--point"),
+        (("tube", "{diagonal}", "--eps", "1/0"), "--eps"),
+    ],
+    ids=["eval", "residue", "tube"],
+)
+def test_zero_denominator_flag_exit_2(capsys, blowup_file, diagonal_file, argv, flag):
+    argv = [a.format(blowup=blowup_file, diagonal=diagonal_file) for a in argv]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {flag}: zero denominator\n"
+
+
+def test_mellin_check_lam_length_exit_2(capsys, diagonal_file):
+    assert main(["mellin-check", diagonal_file, "--lam", "3"]) == 2
+    assert capsys.readouterr().err == "error: --lam: expected 2 values\n"
+
+
+def test_divlemma_input_errors_name_the_field(capsys, tmp_path):
+    no_psi = tmp_path / "no_psi.json"
+    no_psi.write_text(json.dumps({"n": 3, "K": [1]}))
+    assert main(["divlemma", str(no_psi)]) == 2
+    assert capsys.readouterr().err == "error: psi: missing\n"
+    listed = tmp_path / "list.json"
+    listed.write_text("[]")
+    assert main(["divlemma", str(listed)]) == 2
+    assert capsys.readouterr().err == f"error: {listed}: expected a JSON object\n"
+
+
+def test_tube_verdicts_compare_value_with_tolerance(capsys, diagonal_file):
+    seen = set()
+    for tol in ("1e-6", "1e-12", "1e-13", "1e-20"):
+        code, out = run(capsys, "tube", diagonal_file, "--tol", tol, "--format", "json")
+        verdicts = json.loads(out)["verdicts"]
+        assert code == (0 if all(v["pass"] for v in verdicts) else 1)
+        for v in verdicts:
+            if "tolerance" in v:
+                assert v["pass"] == (v["value"] <= v["tolerance"]), (tol, v)
+                seen.add(v["pass"])
+    assert seen == {True, False}
