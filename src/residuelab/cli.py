@@ -122,11 +122,14 @@ def _load_scenario(path: str) -> tuple[Scenario, dict]:
     return scenario, {"scenario": str(p), "sha256": _sha256(p)}
 
 
-def _fractions(text: str, flag: str) -> List[Fraction]:
+def _fractions(text: str, flag: str, count: Optional[int] = None) -> List[Fraction]:
     try:
-        return [Fraction(tok.strip()) for tok in text.split(",") if tok.strip()]
+        values = [Fraction(tok.strip()) for tok in text.split(",") if tok.strip()]
     except ZeroDivisionError:
         raise ScenarioError(flag, "zero denominator") from None
+    if count is not None and len(values) != count:
+        raise ScenarioError(flag, f"expected {count} values")
+    return values
 
 
 def _ints(text: str) -> List[int]:
@@ -192,9 +195,7 @@ def cmd_eval(args, report: Report) -> None:
     scenario, inputs = _load_scenario(args.scenario)
     report.inputs.update(inputs)
     name = args.chart or scenario.charts[0].name
-    lam = _fractions(args.lam, "--lam")
-    if len(lam) != scenario.signature.nfactors:
-        raise ScenarioError("--lam", f"expected {scenario.signature.nfactors} values")
+    lam = _fractions(args.lam, "--lam", scenario.signature.nfactors)
     value = mellin_exact(scenario, name)
     report.results["exact"] = value.to_obj()
     report.results["exact_pretty"] = str(value)
@@ -255,18 +256,21 @@ def cmd_tube(args, report: Report) -> None:
     chart = scenario.chart(name)
     testform = scenario.testform(name)
     count = scenario.signature.nfactors
-    eps = _fractions(args.eps, "--eps") if args.eps else [Fraction(1, 100)] * count
+    eps = _fractions(args.eps, "--eps", count) if args.eps else [Fraction(1, 100)] * count
+    if any(e <= 0 for e in eps):
+        raise ScenarioError("--eps", "tube radii must be positive")
+    if args.path_M < 1:
+        raise ScenarioError("--path-M", "must be >= 1")
     spec = tube_spec_from_chart(chart, eps)
     val = tube_integral(spec, testform)
     report.results["tube_integral"] = _complex_obj(val)
     path = AdmissiblePath.default(count, args.path_M)
     report.results["path_exponents"] = list(path.exponents)
     report.verdict("admissible-ratio-condition", path.ratio_condition_ok())
-    limit = admissible_limit(spec, testform, path)
+    limit = admissible_limit(spec, testform, path, tol=args.tol)
     report.results["admissible_limit"] = _complex_obj(limit.value)
     report.results["limit_error"] = limit.error
-    # the verdict compares what it reports; limit.converged scales tol by |limit|
-    report.verdict("limit-converged", limit.error <= args.tol, value=limit.error, tolerance=args.tol)
+    report.verdict("limit-converged", limit.converged, value=limit.error, tolerance=args.tol)
     value = mellin_exact(scenario, chart).reduced()
     if not value.hyperplane_forms():
         ref = value_at_origin(value).as_complex()
@@ -283,9 +287,7 @@ def cmd_mellin_check(args, report: Report) -> None:
     testform = scenario.testform(name)
     eps = [Fraction(1, 100)] * scenario.signature.nfactors
     spec = tube_spec_from_chart(chart, eps)
-    lambdas = [_fractions(tok, "--lam") for tok in args.lam]
-    if any(len(lam) != scenario.signature.nfactors for lam in lambdas):
-        raise ScenarioError("--lam", f"expected {scenario.signature.nfactors} values")
+    lambdas = [_fractions(tok, "--lam", scenario.signature.nfactors) for tok in args.lam]
     rows = mellin_check(spec, testform, [[complex(x) for x in lam] for lam in lambdas])
     signs = set()
     for row in rows:

@@ -8,12 +8,19 @@ current equality whose left side is analytic once the smaller symbols are
 settled, so intersecting support families level by level eliminates every
 candidate hyperplane.  The trace records each equality and intersection,
 making the deduction auditable.
+
+`deduce` holds index sets as int bitmasks (bit i-1 for index i) and
+constraints as frozensets of support masks; `_antichain` and `_meet` use only
+`&`, `|` and `==`, so `combine` runs the same rule on frozensets.  The trace
+order is fixed and byte-reproducible: targets per level in `combinations`
+order, bases by decreasing moved index, sweeps until nothing changes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Sequence, Tuple
+from itertools import combinations
+from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 
 class IncompleteContextError(ValueError):
@@ -49,21 +56,23 @@ class CurrentSymbol:
     def of(dbar: Sequence[int], pv: Sequence[int]) -> "CurrentSymbol":
         return CurrentSymbol(frozenset(dbar), frozenset(pv))
 
-    def universe(self) -> frozenset:
-        return self.dbar_set | self.pv_set
-
     def __str__(self):
         d = ",".join(map(str, sorted(self.dbar_set)))
         p = ",".join(map(str, sorted(self.pv_set)))
         return f"sym({{{d}}};{{{p}}})"
 
 
-def _antichain(members) -> frozenset:
-    """Drop empty members and members contained in another (redundant)."""
-    mems = {frozenset(m) for m in members if m}
-    return frozenset(
-        m for m in mems if not any(m < other for other in mems)
-    )
+def _antichain(members: Iterable) -> frozenset:
+    """Drop empty members and members strictly inside another (redundant)."""
+    mems = set(members)
+    return frozenset(m for m in mems if m and not any(m & o == m and m != o for o in mems))
+
+
+def _meet(prior: frozenset, siblings: Iterable[frozenset]) -> Tuple[frozenset, frozenset]:
+    """The siblings' union (the context) and its intersection with `prior`;
+    an empty context leaves nothing, so the target becomes analytic."""
+    context = _antichain(m for family in siblings for m in family)
+    return context, _antichain(a & b for a in prior for b in context)
 
 
 @dataclass(frozen=True)
@@ -74,7 +83,7 @@ class PoleConstraint:
     allowed_supports: frozenset
 
     def __post_init__(self):
-        object.__setattr__(self, "allowed_supports", _antichain(self.allowed_supports))
+        object.__setattr__(self, "allowed_supports", _antichain(map(frozenset, self.allowed_supports)))
 
     @staticmethod
     def analytic() -> "PoleConstraint":
@@ -123,55 +132,63 @@ def combine(
     analytic, i.e. the base constraint settled; derived singleton supports
     are retained until a later intersection empties them.
     """
-    return _combine(target, base, known)[1]
-
-
-def _combine(
-    target: CurrentSymbol,
-    base: CurrentSymbol,
-    known: Mapping[CurrentSymbol, PoleConstraint],
-) -> Tuple[PoleConstraint, PoleConstraint]:
-    """`combine`, also returning the siblings' union the trace records."""
     terms = equality_terms(base)
     if target not in terms:
         raise ValueError(f"{target} is not a term of the equality from {base}")
-    base_constraint = known.get(base)
-    if base_constraint is None or not base_constraint.is_analytic:
+    if base not in known or not known[base].is_analytic:
         raise IncompleteContextError(f"IncompleteContext: base {base} is not settled analytic")
-    prior = known.get(target)
-    if prior is None:
-        raise IncompleteContextError(f"IncompleteContext: no prior constraint for {target}")
-    context_members = set()
-    for sib in terms:
-        if sib == target:
-            continue
-        c = known.get(sib)
-        if c is None:
-            raise IncompleteContextError(f"IncompleteContext: sibling {sib} unknown")
-        context_members |= c.allowed_supports
-    context = PoleConstraint(frozenset(context_members))
-    if not context_members:
-        return context, PoleConstraint.analytic()
-    return context, PoleConstraint(
-        frozenset(a & b for a in prior.allowed_supports for b in context_members)
-    )
+    for term in terms:
+        if term not in known:
+            raise IncompleteContextError(f"IncompleteContext: no constraint known for {term}")
+    siblings = (known[term].allowed_supports for term in terms if term != target)
+    return PoleConstraint(_meet(known[target].allowed_supports, siblings)[1])
+
+
+def _indices(mask: int) -> List[int]:
+    return [i + 1 for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def _symbol(mask: int, n: int) -> CurrentSymbol:
+    return CurrentSymbol(frozenset(_indices(mask)), frozenset(_indices(~mask & ((1 << n) - 1))))
+
+
+def _constraint(masks: frozenset) -> PoleConstraint:
+    return PoleConstraint(frozenset(frozenset(_indices(m)) for m in masks))
 
 
 @dataclass(frozen=True)
 class TraceStep:
-    target: CurrentSymbol
-    base: CurrentSymbol
+    """One intersection of `deduce` as masks over indices 1..n; views are built on read."""
+
+    n: int
+    target_mask: int
     moved: int
-    context: PoleConstraint
-    result: PoleConstraint
+    context_masks: frozenset
+    result_masks: frozenset
+
+    @property
+    def target(self) -> CurrentSymbol:
+        return _symbol(self.target_mask, self.n)
+
+    @property
+    def base(self) -> CurrentSymbol:
+        return _symbol(self.target_mask ^ (1 << (self.moved - 1)), self.n)
+
+    @property
+    def context(self) -> PoleConstraint:
+        return _constraint(self.context_masks)
+
+    @property
+    def result(self) -> PoleConstraint:
+        return _constraint(self.result_masks)
 
     def to_obj(self) -> dict:
         return {
-            "target": sorted(self.target.dbar_set),
-            "base": sorted(self.base.dbar_set),
+            "target": _indices(self.target_mask),
+            "base": _indices(self.target_mask ^ (1 << (self.moved - 1))),
             "moved": self.moved,
-            "context": [list(m) for m in self.context.sorted_members()],
-            "result": [list(m) for m in self.result.sorted_members()],
+            "context": sorted(map(_indices, self.context_masks)),
+            "result": sorted(map(_indices, self.result_masks)),
         }
 
 
@@ -184,8 +201,8 @@ class ProofTrace:
     analytic: bool
 
     def steps_for(self, dbar: Sequence[int]) -> List[TraceStep]:
-        want = frozenset(dbar)
-        return [s for s in self.steps if s.target.dbar_set == want]
+        want = sum(1 << (i - 1) for i in frozenset(dbar))
+        return [s for s in self.steps if s.target_mask == want]
 
     def to_obj(self) -> dict:
         return {
@@ -201,49 +218,30 @@ def deduce(p: int, q: int) -> ProofTrace:
     factors; every symbol of every level must come out analytic."""
     if p < 1 or q < 0:
         raise ValueError("need p >= 1 and q >= 0")
-    universe = frozenset(range(1, p + q + 1))
-    known: Dict[CurrentSymbol, PoleConstraint] = {}
-
-    def sym(dbar: frozenset) -> CurrentSymbol:
-        return CurrentSymbol(dbar, universe - dbar)
-
-    def get(s: CurrentSymbol) -> PoleConstraint:
-        if s not in known:
-            known[s] = initial_constraint(s)
-        return known[s]
-
+    n = p + q
+    known: Dict[int, frozenset] = {}
     steps: List[TraceStep] = []
-    from itertools import combinations
-
     for level in range(2, p + 1):
-        targets = [sym(frozenset(c)) for c in combinations(sorted(universe), level)]
+        targets = [sum(1 << i for i in c) for c in combinations(range(n), level)]
         for t in targets:
-            get(t)
+            known[t] = frozenset({t})
         progress = True
-        while progress and any(not get(t).is_analytic for t in targets):
+        while progress and any(known[t] for t in targets):
             progress = False
-            for target in targets:
-                if get(target).is_analytic:
-                    continue
-                bases = sorted(
-                    (tuple(sorted(target.dbar_set - {v})), v) for v in target.dbar_set
-                )
-                for base_tuple, moved in bases:
-                    base = sym(frozenset(base_tuple))
-                    if not get(base).is_analytic:
-                        continue
-                    # every sibling sits on this level, so `known` holds it
-                    context, new = _combine(target, base, known)
-                    if new.allowed_supports != get(target).allowed_supports:
-                        steps.append(TraceStep(target, base, moved, context, new))
-                        known[target] = new
-                        progress = True
-                    if get(target).is_analytic:
+            for t in targets:
+                for v in reversed(_indices(t)):
+                    if not known[t]:
                         break
+                    base = t ^ (1 << (v - 1))
+                    # the base, one level down, is settled; its siblings sit on this level
+                    siblings = (known[base | 1 << i] for i in range(n) if not t >> i & 1)
+                    context, new = _meet(known[t], siblings)
+                    if new != known[t]:
+                        steps.append(TraceStep(n, t, v, context, new))
+                        known[t] = new
+                        progress = True
         for t in targets:
-            if not get(t).is_analytic:
-                raise StalledError(t, get(t).allowed_supports)
-
-    full = sym(frozenset(range(1, p + 1)))
-    final = get(full)
+            if known[t]:
+                raise StalledError(_symbol(t, n), _constraint(known[t]).allowed_supports)
+    final = _constraint(known.get((1 << p) - 1, frozenset()))
     return ProofTrace(p, q, tuple(steps), final, final.is_analytic)

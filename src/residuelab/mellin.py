@@ -24,6 +24,8 @@ from .orientation import dbar_front_sign
 from .poly import Poly
 from .profiles import RadialProfile
 
+QUAD_NODES, QUAD_ANGLES = 24, 32  # coarse quadrature pass; the fine pass doubles both
+
 
 class DimensionTooLargeError(ValueError):
     pass
@@ -227,8 +229,6 @@ def mellin_quadrature(
     scenario: Scenario,
     chart: Union[ChartSpec, str],
     lam: Sequence[complex],
-    base_nodes: int = 24,
-    base_angles: int = 32,
 ) -> QuadResult:
     """Adaptive polar cubature of the chart integrand at a fixed parameter point.
 
@@ -249,8 +249,8 @@ def mellin_quadrature(
     for term in testform.terms:
         for f in term.factors:
             max_twist = max(max_twist, abs(f.a - f.b) + 1)
-    nt = max(base_angles, 4 * max_twist)
+    nt = max(QUAD_ANGLES, 4 * max_twist)
     plan = term_plan(chart, testform, sig.N)
-    coarse = _quad_total(plan, chart.sign, sig.p, lam, base_nodes, nt)
-    fine = _quad_total(plan, chart.sign, sig.p, lam, 2 * base_nodes, 2 * nt)
+    coarse = _quad_total(plan, chart.sign, sig.p, lam, QUAD_NODES, nt)
+    fine = _quad_total(plan, chart.sign, sig.p, lam, 2 * QUAD_NODES, 2 * nt)
     return QuadResult(fine, abs(fine - coarse))

@@ -19,6 +19,12 @@ from .charts import ChartSpec, ProblemSignature, Scenario, SeparableTestForm
 from .mellin import PlannedTerm, mellin_exact, term_plan
 
 
+LIMIT_T0 = Fraction(1, 2)  # first sample of an admissible limit
+# Gauss-Legendre nodes per panel of `mellin_check`, by tube factor count; two-
+# factor panels align with the integrand's kinks, so fewer nodes suffice
+CHECK_NODES = {1: 40, 2: 12}
+
+
 class UnsupportedTubeError(ValueError):
     pass
 
@@ -162,11 +168,10 @@ class AdmissiblePath:
         return AdmissiblePath(tuple((M + 1) ** (count - 1 - j) for j in range(count)), M)
 
     def ratio_condition_ok(self) -> bool:
-        for a, b in zip(self.exponents, self.exponents[1:]):
-            for k in range(1, self.bound + 1):
-                if a - k * b <= 0:
-                    return False
-        return True
+        # with positive exponents, a - k*b > 0 for all k <= bound iff it holds at k = bound
+        e = self.exponents
+        positive = self.bound >= 1 and all(x > 0 for x in e)
+        return positive and all(a > self.bound * b for a, b in zip(e, e[1:]))
 
     def eps_at(self, t: Fraction) -> Tuple[Fraction, ...]:
         t = Fraction(t)
@@ -186,15 +191,16 @@ def admissible_limit(
     testform: SeparableTestForm,
     path: Optional[AdmissiblePath] = None,
     samples: int = 14,
-    t0: Fraction = Fraction(1, 2),
     tol: float = 1e-9,
 ) -> LimitResult:
-    """Extrapolate the tube integral along an admissible path to t -> 0."""
+    """Extrapolate the tube integral along an admissible path to t -> 0 from
+    samples at t = LIMIT_T0 / 2^j; `converged` means the error estimate (the
+    last change of the accelerated sequence) is at most `tol`, absolute."""
     if path is None:
         path = AdmissiblePath.default(len(spec.vars))
     if not path.ratio_condition_ok():
         raise ValueError("path does not satisfy the admissible ratio condition")
-    ts = [t0 * Fraction(1, 2) ** j for j in range(samples)]
+    ts = [LIMIT_T0 * Fraction(1, 2) ** j for j in range(samples)]
     plan = term_plan(_diagonal_chart(spec), testform, 1)
     vals = [_tube_value(plan, spec.with_eps(path.eps_at(t))) for t in ts]
     seq = list(vals)
@@ -208,10 +214,8 @@ def admissible_limit(
             d = (c - b) - (b - a)
             nxt.append(c - (c - b) ** 2 / d if abs(d) > 1e-300 else c)
         seq = nxt
-    est = seq[-1]
     err = abs(seq[-1] - seq[-2]) if len(seq) >= 2 else abs(vals[-1] - vals[-2])
-    scale = max(abs(est), 1.0)
-    return LimitResult(est, err, tuple(vals), err <= tol * scale or err <= tol)
+    return LimitResult(seq[-1], err, tuple(vals), err <= tol)
 
 
 @dataclass(frozen=True)
@@ -248,7 +252,6 @@ def mellin_check(
     spec: TubeSpec,
     testform: SeparableTestForm,
     lambdas: Sequence[Sequence[complex]],
-    nodes: int = 40,
 ) -> List[MellinCheckRow]:
     """Compare the iterated transform of the tube integral with the exact value.
 
@@ -258,12 +261,8 @@ def mellin_check(
     m = len(spec.vars)
     if m > 2:
         raise UnsupportedTubeError("mellin_check supports at most two tube factors")
-    if m == 2:
-        # panels align with the integrand's kinks, so low-order nodes suffice
-        nodes = min(nodes, 12)
     if spec.n != m:
         raise UnsupportedTubeError("mellin_check needs every variable in the tube")
-    order = list(spec.vars)
     chart = _diagonal_chart(spec)
     scenario = Scenario(ProblemSignature(spec.n, spec.p, spec.q, 1), (chart,), {chart.name: testform})
     exact = mellin_exact(scenario, chart)
@@ -271,7 +270,7 @@ def mellin_check(
 
     # knots of the tube integrand in each s_j: images of profile knots
     supports = []
-    for j, v in enumerate(order):
+    for j, v in enumerate(spec.vars):
         k = spec.ks[j]
         pts = {0.0}
         for term in testform.terms:
@@ -280,7 +279,7 @@ def mellin_check(
                 pts.add(float(knot) ** k)
         supports.append(sorted(pts))
 
-    gl_nodes, gl_w = np.polynomial.legendre.leggauss(nodes)
+    gl_nodes, gl_w = np.polynomial.legendre.leggauss(CHECK_NODES[m])
 
     rows = []
     for lam in lambdas:

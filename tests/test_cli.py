@@ -213,6 +213,21 @@ def test_zero_denominator_flag_exit_2(capsys, blowup_file, diagonal_file, argv, 
     assert capsys.readouterr().err == f"error: {flag}: zero denominator\n"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("--eps", "1/4"), "--eps: expected 2 values"),
+        (("--eps", "1/4,0"), "--eps: tube radii must be positive"),
+        (("--path-M", "0"), "--path-M: must be >= 1"),
+        (("--path-M", "-1"), "--path-M: must be >= 1"),
+    ],
+    ids=["eps-count", "eps-zero", "path-M-0", "path-M-neg"],
+)
+def test_tube_flag_errors_name_the_flag(capsys, diagonal_file, argv, message):
+    assert main(["tube", diagonal_file, *argv]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_mellin_check_lam_length_exit_2(capsys, diagonal_file):
     assert main(["mellin-check", diagonal_file, "--lam", "3"]) == 2
     assert capsys.readouterr().err == "error: --lam: expected 2 values\n"

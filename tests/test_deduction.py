@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -162,3 +163,23 @@ def test_soundness_hook_blowup_and_diagonal():
     v = mellin_exact(diag, diag.charts[0]).reduced()
     assert deduce(2, 1).analytic
     assert v.hyperplane_forms() == frozenset()
+
+
+def test_deduce_trace_replays_through_combine():
+    # every recorded step is the public rule applied to the constraints known
+    # at that point, so `deduce` and `combine` cannot drift apart
+    for p in range(1, 5):
+        for q in range(0, 5):
+            universe = frozenset(range(1, p + q + 1))
+            known = {}
+            for level in range(1, p + 1):
+                for dbar in combinations(sorted(universe), level):
+                    s = sym(dbar, universe - set(dbar))
+                    known[s] = initial_constraint(s)
+            for step in deduce(p, q).steps:
+                siblings = [t for t in equality_terms(step.base) if t != step.target]
+                union = frozenset().union(*(known[t].allowed_supports for t in siblings))
+                assert step.context == PoleConstraint(union)
+                assert combine(step.target, step.base, known) == step.result
+                known[step.target] = step.result
+            assert all(c.is_analytic for c in known.values()), (p, q)

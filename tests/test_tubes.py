@@ -102,11 +102,26 @@ def test_admissible_limit_samples_equal_tube_integrals():
     assert [repr(z) for z in res.samples] == [repr(z) for z in direct]
 
 
+def test_admissible_limit_converged_is_absolute():
+    # the limit is about 13.2, so a tolerance scaled by |limit| would pass
+    sc = diagonal_scenario([1, 1], p=1)
+    chart = sc.charts[0]
+    spec = tube_spec_from_chart(chart, [Fraction(1, 100)] * 2)
+    tol = 1e-12
+    res = admissible_limit(spec, sc.testform(chart.name), tol=tol)
+    assert abs(res.value) > 1
+    assert res.converged is False
+    assert res.converged == (res.error <= tol)
+
+
 def test_admissible_path_ratio_condition():
     path = AdmissiblePath.default(3, M=10)
     assert path.ratio_condition_ok()
     bad = AdmissiblePath((10, 1, 1), bound=10)
     assert not bad.ratio_condition_ok()
+    # a bound below 1 or a non-positive exponent is no admissible path
+    for degenerate in (AdmissiblePath.default(2, M=0), AdmissiblePath.default(2, M=-1)):
+        assert not degenerate.ratio_condition_ok()
     eps = path.eps_at(Fraction(1, 2))
     assert eps[0] < eps[1] ** 10
 
