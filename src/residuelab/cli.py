@@ -232,7 +232,7 @@ def cmd_residue(args, report: Report) -> None:
     scenario, inputs = _load_scenario(args.scenario)
     report.inputs.update(inputs)
     form = LinForm.normalize(_ints(args.form))
-    point = _fractions(args.point, "--point")
+    point = _fractions(args.point, "--point", scenario.signature.nfactors)
     total = QI.zero()
     power = 0
     for chart in scenario.charts:

@@ -107,7 +107,7 @@ class AffineForm:
     def eval_complex(self, values: Sequence[complex]) -> complex:
         return complex(self.const) + sum(c * v for c, v in zip(self.coeffs, values) if c)
 
-    def as_poly(self, one=None) -> Poly:
+    def as_poly(self) -> Poly:
         """The form as a degree-one polynomial with QI coefficients."""
         terms = {}
         n = len(self.coeffs)

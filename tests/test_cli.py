@@ -233,6 +233,12 @@ def test_mellin_check_lam_length_exit_2(capsys, diagonal_file):
     assert capsys.readouterr().err == "error: --lam: expected 2 values\n"
 
 
+def test_residue_point_count_exit_2(capsys, blowup_file):
+    # the blow-up example has three factors, so a point needs three values
+    assert main(["residue", blowup_file, "--form", "1,1,0", "--point", "1,2"]) == 2
+    assert capsys.readouterr().err == "error: --point: expected 3 values\n"
+
+
 def test_divlemma_input_errors_name_the_field(capsys, tmp_path):
     no_psi = tmp_path / "no_psi.json"
     no_psi.write_text(json.dumps({"n": 3, "K": [1]}))

@@ -4,12 +4,15 @@ from fractions import Fraction
 
 import pytest
 
+from residuelab import tubes
 from residuelab import (
     AdmissiblePath,
     ChartSpec,
     Factor,
+    ProblemSignature,
     QI,
     RadialProfile,
+    Scenario,
     SeparableTerm,
     SeparableTestForm,
     TubeSpec,
@@ -170,6 +173,83 @@ def test_mellin_check_mixed_pair():
     rows = mellin_check(spec, sc.testform(chart.name), [[3.0, 3.0]])
     assert rows[0].rel_error < 1e-6
     assert rows[0].sign == 1
+
+
+@pytest.mark.parametrize(
+    "ks, p, lam",
+    [
+        ([1, 1, 1], 1, (3, 3, 3)),
+        ([1, 2, 1], 2, (2.5 + 1j, 3, 3)),
+        ([2, 1, 1], 0, (3, 2.25, 4)),
+        ([1, 1, 1], 3, (2, 3.5 - 2j, 5)),
+    ],
+    ids=["111-p1", "121-p2-complex", "211-p0", "111-p3-complex"],
+)
+def test_mellin_check_three_factors_match_exact(ks, p, lam):
+    sc = diagonal_scenario(ks, p=p)
+    chart = sc.charts[0]
+    spec = tube_spec_from_chart(chart, [Fraction(1, 100)] * 3)
+    (row,) = mellin_check(spec, sc.testform(chart.name), [lam])
+    ref = mellin_exact(sc, chart).eval_complex([complex(z) for z in lam])
+    assert abs(ref) > 1e-6
+    assert abs(row.transform - ref) <= 1e-10 * abs(ref)
+    assert row.rel_error <= 1e-10
+    assert row.sign == 1
+
+
+def test_mellin_check_spectator_variable():
+    # n = 2 with one tube factor on x1; x2 is a spectator under a dbar slot
+    chart = ChartSpec("s", ((1, 0),), (), (0, 0), 1)
+    tf = term([Factor(0, 0, RadialProfile.bump(2)), Factor(1, 1, RadialProfile.bump(2))], {2})
+    sc = Scenario(ProblemSignature(2, 1, 0, 1), (chart,), {"s": tf})
+    spec = tube_spec_from_chart(chart, [Fraction(1, 100)])
+    lam = 3.5 + 0.5j
+    (row,) = mellin_check(spec, tf, [[lam]])
+    ref = mellin_exact(sc, chart).eval_complex([lam])
+    assert abs(ref) > 1e-6
+    assert abs(row.transform - ref) <= 1e-10 * abs(ref)
+    assert row.rel_error <= 1e-10
+    assert row.sign == 1
+
+
+def test_mellin_check_sign_is_pinned(monkeypatch):
+    # an orientation bug that negates every one-factor row must fail the row
+    sc = diagonal_scenario([1], p=1)
+    chart = sc.charts[0]
+    spec = tube_spec_from_chart(chart, [Fraction(1, 100)])
+    factor = tubes._tube_factor
+    monkeypatch.setattr(tubes, "_tube_factor", lambda *args: -factor(*args))
+    (row,) = mellin_check(spec, sc.testform(chart.name), [[3.0]])
+    assert abs(row.rel_error - 2) < 1e-9
+    assert row.sign == -1
+
+
+# repr of (transform, rel_error) of one-factor rows: `mellin-check` reports
+# carry these floats and the recorded bench digests hash them, so they are
+# pinned bit for bit
+ONE_FACTOR_ROWS = {
+    (1, 0, "3"): ("-0.10471975511965977j", "0.0"),
+    (1, 0, "9/4"): ("-0.1732919024604558j", "1.441499441081268e-14"),
+    (1, 1, "3"): ("0.6283185307179584j", "3.5339496460705744e-16"),
+    (1, 1, "9/4"): ("0.9097824879173982j", "8.786282307542965e-15"),
+    (2, 0, "3"): ("-0.024933275028490357j", "2.5046868116525195e-15"),
+    (2, 0, "9/4"): ("-0.04686758271089406j", "5.596409594786098e-14"),
+    (2, 1, "3"): ("0.22439947525641368j", "4.947529504498804e-16"),
+    (2, 1, "9/4"): ("0.3515068703317174j", "2.195134909842025e-14"),
+    (3, 0, "3"): ("-0.009519977738150892j", "3.64438557251028e-16"),
+    (3, 0, "9/4"): ("-0.019006208656951015j", "1.303355744644313e-13"),
+    (3, 1, "3"): ("0.11423973285781054j", "9.71836152669408e-16"),
+    (3, 1, "9/4"): ("0.1853105344052889j", "4.118914943930889e-14"),
+}
+
+
+@pytest.mark.parametrize("k, p, lam", sorted(ONE_FACTOR_ROWS))
+def test_mellin_check_one_factor_rows_bit_identical(k, p, lam):
+    sc = diagonal_scenario([k], p=p)
+    chart = sc.charts[0]
+    spec = tube_spec_from_chart(chart, [Fraction(1, 100)])
+    (row,) = mellin_check(spec, sc.testform(chart.name), [[complex(Fraction(lam))]])
+    assert (repr(row.transform), repr(row.rel_error)) == ONE_FACTOR_ROWS[(k, p, lam)]
 
 
 def test_unsupported_tube_shapes():
