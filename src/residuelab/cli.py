@@ -1,6 +1,7 @@
 """Command-line interface: scenario I/O, reports, and the packaged example.
 
-Exit codes: 0 all verdicts pass, 1 a verdict failed, 2 input or usage error.
+Exit codes: 0 all verdicts pass, 1 a verdict failed, 2 input or usage error,
+3 internal error (an engine fault, such as a stalled deduction).
 JSON reports are byte-reproducible for identical inputs and options; wall
 clock timing appears only in the human table output.
 """
@@ -24,7 +25,7 @@ from .charts import (
     blowup_parts,
     parse_scenario,
 )
-from .deduction import StalledError, deduce
+from .deduction import deduce
 from .extforms import (
     annihilated_by_row_differentials,
     build_interpolant,
@@ -335,12 +336,7 @@ def cmd_divlemma(args, report: Report) -> None:
 
 
 def cmd_deduce(args, report: Report) -> None:
-    try:
-        trace = deduce(args.p, args.q)
-    except StalledError as exc:
-        report.results["residual"] = str(exc)
-        report.verdict("analytic", False, value=str(exc))
-        return
+    trace = deduce(args.p, args.q)
     report.results["trace"] = trace.to_obj()
     report.results["steps"] = len(trace.steps)
     report.verdict("analytic", trace.analytic)
@@ -486,6 +482,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             PoleAtOriginError, json.JSONDecodeError, OSError, KeyError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    except Exception as exc:
+        sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")
+        return 3
     elapsed = time.monotonic() - started
     sys.stdout.write(report.render(args.format, elapsed))
     return 0 if report.ok else 1

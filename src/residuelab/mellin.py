@@ -13,8 +13,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple, Union
 
-import numpy as np
-
 from .charts import ChartSpec, Factor, Scenario, SeparableTestForm
 from .gaussian import QI
 from .leibniz import check_units, subset_determinant
@@ -187,6 +185,8 @@ class QuadResult:
 
 def _quad_variable(mu: complex, u: int, v: int, rho: RadialProfile, nr: int, nt: int) -> complex:
     """Numeric integral over C of |x|^(2 mu) x^u conj(x)^v rho(|x|^2) dx ^ conj(dx)."""
+    import numpy as np
+
     if rho.is_zero():
         return 0j
     twist = u - v

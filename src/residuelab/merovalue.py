@@ -116,31 +116,6 @@ class TokenScalar:
         return f"({self.coeff})*{tok}"
 
 
-def divmod_affine(p: Poly, form: AffineForm) -> Tuple[Poly, Poly]:
-    """Polynomial division by a degree-one form: p = q*form + r with r free of the pivot variable."""
-    pivot = next(j for j, c in enumerate(form.coeffs) if c)
-    a = QI.of(form.coeffs[pivot])
-    fpoly = form.as_poly()
-    q = Poly.zero(p.nvars)
-    r = p
-    while True:
-        d = r.deg_in(pivot)
-        if d < 1:
-            break
-        lead = r.coeff_of_power(pivot, d)
-        shift = [0] * p.nvars
-        shift[pivot] = d - 1
-        t = lead.mul_monomial(shift, QI.one() / a)
-        q = q + t
-        r = r - t * fpoly
-    return q, r
-
-
-def divides_affine(p: Poly, form: AffineForm) -> bool:
-    q, r = divmod_affine(p, form)
-    return r.is_zero()
-
-
 _PRIME = (1 << 61) - 1
 
 

@@ -9,14 +9,16 @@ predicts.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from .charts import ChartSpec, Factor, ProblemSignature, Scenario, SeparableTestForm
 from .mellin import PlannedTerm, mellin_exact, term_plan
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 LIMIT_T0 = Fraction(1, 2)  # first sample of an admissible limit
@@ -130,17 +132,17 @@ def _tube_factor(column: Tuple[int, ...], j: Optional[int], f: Factor, p: int, e
     (j >= p), or the full plane of a spectator (j None; `eps` unused).  It
     depends on no other radius."""
     if j is None:
-        return -2j * np.pi * float(f.rho.moment(f.a))
+        return -2j * math.pi * float(f.rho.moment(f.a))
     k = column[j]
     if j < p:
         # integral over |x|^(2k) = eps of x^a conj(x)^b rho / x^k dx
         t0 = float(eps) ** (1.0 / k)
-        return 2j * np.pi * t0 ** f.b * f.rho.value(t0)
+        return 2j * math.pi * t0 ** f.b * f.rho.value(t0)
     if k == 1:
         tail = float(f.rho.moment_tail(f.b, Fraction(eps)))
     else:
         tail = _moment_tail_float(f.rho, f.b, float(eps) ** (1.0 / k))
-    return -2j * np.pi * tail
+    return -2j * math.pi * tail
 
 
 def _moment_tail_float(rho, b: int, t0: float) -> float:
@@ -272,10 +274,14 @@ def mellin_check(
     `rel_error` is |transform - reference| / |reference|, with the README's
     sign +1; `sign` is the better-fitting sign, for diagnosis only.
     """
+    import numpy as np
+
+    lambdas = [[complex(z) for z in lam] for lam in lambdas]
+    if any(z.real < 2 for lam in lambdas for z in lam):
+        raise ValueError("mellin_check needs Re(lambda) >= 2")
     chart = _diagonal_chart(spec)
     scenario = Scenario(ProblemSignature(spec.n, spec.p, spec.q, 1), (chart,), {chart.name: testform})
     exact = mellin_exact(scenario, chart)
-    plan = term_plan(chart, testform, 1)
 
     # knots of the tube integrand in each s_j: images of profile knots
     supports = [
@@ -284,26 +290,37 @@ def mellin_check(
     ]
     gl_nodes, gl_w = np.polynomial.legendre.leggauss(40)
 
+    # per term: its constant, then per variable either a spectator's constant
+    # factor (j None) or the (nodes, weights, factor values) of each panel;
+    # none of these reads lambda
+    terms = []
+    for term in term_plan(chart, testform, 1):
+        if any(u != v for _, u, v, _ in term.variables):
+            continue
+        factors = []
+        for column, _, _, f in term.variables:
+            j = _factor_row(column)
+            if j is None:
+                factors.append((None, _tube_factor(column, None, f, spec.p, None)))
+                continue
+            panels = []
+            for a, b in _panels(supports[j]):
+                s = 0.5 * (b - a) * gl_nodes + 0.5 * (b + a)
+                w = 0.5 * (b - a) * gl_w
+                panels.append((s, w, np.array([_tube_factor(column, j, f, spec.p, x) for x in s])))
+            factors.append((j, panels))
+        terms.append((complex(term.coeff.as_complex()) * (term.sign * (-1) ** spec.p), factors))
+
     rows = []
     for lam in lambdas:
-        lam = [complex(z) for z in lam]
-        if any(z.real < 2 for z in lam):
-            raise ValueError("mellin_check needs Re(lambda) >= 2")
         total = 0j
-        for term in plan:
-            if any(u != v for _, u, v, _ in term.variables):
-                continue
-            val = complex(term.coeff.as_complex()) * (term.sign * (-1) ** spec.p)
-            for column, _, _, f in term.variables:
-                j = _factor_row(column)
+        for val, factors in terms:
+            for j, part in factors:
                 if j is None:
-                    val *= _tube_factor(column, None, f, spec.p, None)
+                    val *= part
                     continue
                 transform = 0j
-                for a, b in _panels(supports[j]):
-                    s = 0.5 * (b - a) * gl_nodes + 0.5 * (b + a)
-                    w = 0.5 * (b - a) * gl_w
-                    vals = np.array([_tube_factor(column, j, f, spec.p, x) for x in s])
+                for s, w, vals in part:
                     transform += np.sum(w * vals * _mellin_weight(lam[j], s))
                 val *= transform
             total += val

@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from residuelab import blowup_example, diagonal_scenario
+from residuelab import blowup_example, cli, diagonal_scenario
 from residuelab.cli import main
+from residuelab.deduction import StalledError
 from residuelab.extforms import PolyForm, form_to_obj
 from residuelab.poly import Poly
 
@@ -261,3 +266,58 @@ def test_tube_verdicts_compare_value_with_tolerance(capsys, diagonal_file):
                 assert v["pass"] == (v["value"] <= v["tolerance"]), (tol, v)
                 seen.add(v["pass"])
     assert seen == {True, False}
+
+
+def test_stalled_deduction_exits_3(capsys, monkeypatch):
+    def stalled(p, q):
+        raise StalledError("T{1|}", [{1}])
+
+    monkeypatch.setattr(cli, "deduce", stalled)
+    assert main(["deduce", "2", "1", "--format", "json"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: StalledError: Stalled: T{1|} retains supports [[1]]\n"
+
+
+def test_engine_fault_exits_3_without_traceback(capsys, monkeypatch, blowup_file):
+    def broken(scenario, chart):
+        raise RuntimeError("engine fault")
+
+    monkeypatch.setattr(cli, "mellin_exact", broken)
+    assert main(["global", blowup_file]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: RuntimeError: engine fault\n"
+
+
+def test_exact_commands_start_without_numpy(tmp_path, blowup_file, diagonal_file):
+    # one fresh interpreter runs all seven commands, so the imports of the
+    # test session do not count
+    psi = PolyForm.basis(3, (2,)) + PolyForm.basis(3, (3,), Poly.variable(3, 0, Fraction(1)))
+    div = tmp_path / "div.json"
+    div.write_text(json.dumps({"n": 3, "K": [1], "psi": form_to_obj(psi), "alphas": [[0, 3, 0]]}))
+    commands = [
+        ["poles", blowup_file],
+        ["global", blowup_file],
+        ["residue", blowup_file, "--form", "1,1,0", "--point", "1/3,-1/3,1/5"],
+        ["tube", diagonal_file],
+        ["divlemma", str(div)],
+        ["deduce", "2", "1"],
+        ["example3"],
+    ]
+    script = (
+        "import contextlib, io, json, sys\n"
+        "from residuelab.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+        "print(json.dumps({'codes': codes, 'numpy': 'numpy' in sys.modules}))\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(commands)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"codes": [0] * len(commands), "numpy": False}

@@ -10,10 +10,10 @@ from residuelab.merovalue import (
     PoleAtOriginError,
     TokenPowerError,
     _divide,
-    divides_affine,
-    divmod_affine,
 )
 from residuelab.poly import Poly
+
+from affine_division import divides_affine, divmod_affine
 
 
 def lam(n, j):
