@@ -282,6 +282,7 @@ def mellin_check(
     chart = _diagonal_chart(spec)
     scenario = Scenario(ProblemSignature(spec.n, spec.p, spec.q, 1), (chart,), {chart.name: testform})
     exact = mellin_exact(scenario, chart)
+    plan = term_plan(chart, testform, 1)
 
     # knots of the tube integrand in each s_j: images of profile knots
     supports = [
@@ -290,37 +291,23 @@ def mellin_check(
     ]
     gl_nodes, gl_w = np.polynomial.legendre.leggauss(40)
 
-    # per term: its constant, then per variable either a spectator's constant
-    # factor (j None) or the (nodes, weights, factor values) of each panel;
-    # none of these reads lambda
-    terms = []
-    for term in term_plan(chart, testform, 1):
-        if any(u != v for _, u, v, _ in term.variables):
-            continue
-        factors = []
-        for column, _, _, f in term.variables:
-            j = _factor_row(column)
-            if j is None:
-                factors.append((None, _tube_factor(column, None, f, spec.p, None)))
-                continue
-            panels = []
-            for a, b in _panels(supports[j]):
-                s = 0.5 * (b - a) * gl_nodes + 0.5 * (b + a)
-                w = 0.5 * (b - a) * gl_w
-                panels.append((s, w, np.array([_tube_factor(column, j, f, spec.p, x) for x in s])))
-            factors.append((j, panels))
-        terms.append((complex(term.coeff.as_complex()) * (term.sign * (-1) ** spec.p), factors))
-
     rows = []
     for lam in lambdas:
         total = 0j
-        for val, factors in terms:
-            for j, part in factors:
+        for term in plan:
+            if any(u != v for _, u, v, _ in term.variables):
+                continue
+            val = complex(term.coeff.as_complex()) * (term.sign * (-1) ** spec.p)
+            for column, _, _, f in term.variables:
+                j = _factor_row(column)
                 if j is None:
-                    val *= part
+                    val *= _tube_factor(column, None, f, spec.p, None)
                     continue
                 transform = 0j
-                for s, w, vals in part:
+                for a, b in _panels(supports[j]):
+                    s = 0.5 * (b - a) * gl_nodes + 0.5 * (b + a)
+                    w = 0.5 * (b - a) * gl_w
+                    vals = np.array([_tube_factor(column, j, f, spec.p, x) for x in s])
                     transform += np.sum(w * vals * _mellin_weight(lam[j], s))
                 val *= transform
             total += val

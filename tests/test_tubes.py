@@ -224,33 +224,6 @@ def test_mellin_check_sign_is_pinned(monkeypatch):
     assert row.sign == -1
 
 
-def test_mellin_check_node_values_shared_by_all_lambdas(monkeypatch):
-    sc = diagonal_scenario([1, 2], p=1)
-    chart = sc.charts[0]
-    spec = tube_spec_from_chart(chart, [Fraction(1, 100)] * 2)
-    tf = sc.testform(chart.name)
-    lams = [[3.0, 3.0], [2.5 + 1j, 4.0]]
-    together = mellin_check(spec, tf, lams)
-    apart = [row for lam in lams for row in mellin_check(spec, tf, [lam])]
-    assert [repr(row) for row in together] == [repr(row) for row in apart]
-
-    calls = []
-    factor = tubes._tube_factor
-
-    def counted(*args):
-        calls.append(args)
-        return factor(*args)
-
-    monkeypatch.setattr(tubes, "_tube_factor", counted)
-    counts = []
-    for count in (1, 5):
-        calls.clear()
-        mellin_check(spec, tf, (lams * 5)[:count])
-        counts.append(len(calls))
-    assert counts[0] > 0
-    assert counts[0] == counts[1]
-
-
 # repr of (transform, rel_error) of one-factor rows: `mellin-check` reports
 # carry these floats and the recorded bench digests hash them, so they are
 # pinned bit for bit
