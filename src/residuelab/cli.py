@@ -133,8 +133,16 @@ def _fractions(text: str, flag: str, count: Optional[int] = None) -> List[Fracti
     return values
 
 
-def _ints(text: str) -> List[int]:
-    return [int(tok.strip()) for tok in text.split(",") if tok.strip()]
+def _form(text: str, flag: str, count: int) -> LinForm:
+    try:
+        values = [int(tok.strip()) for tok in text.split(",") if tok.strip()]
+    except ValueError:
+        raise ScenarioError(flag, "expected integers") from None
+    if len(values) != count:
+        raise ScenarioError(flag, f"expected {count} values")
+    if not any(values):
+        raise ScenarioError(flag, "expected a nonzero vector")
+    return LinForm.normalize(values)
 
 
 def _cert_obj(cert) -> dict:
@@ -232,7 +240,7 @@ def cmd_global(args, report: Report) -> None:
 def cmd_residue(args, report: Report) -> None:
     scenario, inputs = _load_scenario(args.scenario)
     report.inputs.update(inputs)
-    form = LinForm.normalize(_ints(args.form))
+    form = _form(args.form, "--form", scenario.signature.nfactors)
     point = _fractions(args.point, "--point", scenario.signature.nfactors)
     total = QI.zero()
     power = 0
@@ -289,6 +297,8 @@ def cmd_mellin_check(args, report: Report) -> None:
     eps = [Fraction(1, 100)] * scenario.signature.nfactors
     spec = tube_spec_from_chart(chart, eps)
     lambdas = [_fractions(tok, "--lam", scenario.signature.nfactors) for tok in args.lam]
+    if any(x < 2 for lam in lambdas for x in lam):
+        raise ScenarioError("--lam", "mellin-check needs every value >= 2")
     rows = mellin_check(spec, testform, [[complex(x) for x in lam] for lam in lambdas])
     signs = set()
     for row in rows:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional, Sequence, Tuple, Union
 
 from .charts import ChartSpec, Factor, Scenario, SeparableTestForm
@@ -183,6 +184,18 @@ class QuadResult:
     error: float
 
 
+@lru_cache(maxsize=None)
+def _gauss_legendre(n: int):
+    """The n-node Gauss-Legendre rule on [-1, 1], computed once per n and
+    shared read-only by every quadrature and Mellin check."""
+    import numpy as np
+
+    nodes, weights = np.polynomial.legendre.leggauss(n)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
+
+
 def _quad_variable(mu: complex, u: int, v: int, rho: RadialProfile, nr: int, nt: int) -> complex:
     """Numeric integral over C of |x|^(2 mu) x^u conj(x)^v rho(|x|^2) dx ^ conj(dx)."""
     import numpy as np
@@ -192,7 +205,7 @@ def _quad_variable(mu: complex, u: int, v: int, rho: RadialProfile, nr: int, nt:
     twist = u - v
     theta = (np.arange(nt) + 0.5) * (2 * np.pi / nt)
     ang = np.exp(1j * twist * theta).sum() * (2 * np.pi / nt)
-    nodes, weights = np.polynomial.legendre.leggauss(nr)
+    nodes, weights = _gauss_legendre(nr)
     radial = 0j
     knots = [float(k) for k in rho.knots]
     for a_t, b_t, piece in zip(knots, knots[1:], rho.pieces):

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from .charts import ChartSpec, Factor, ProblemSignature, Scenario, SeparableTestForm
-from .mellin import PlannedTerm, mellin_exact, term_plan
+from .mellin import PlannedTerm, _gauss_legendre, mellin_exact, term_plan
 
 if TYPE_CHECKING:
     import numpy as np
@@ -289,7 +289,7 @@ def mellin_check(
         sorted({0.0} | {float(x) ** k for term in testform.terms for x in term.factors[v - 1].rho.knots})
         for v, k in zip(spec.vars, spec.ks)
     ]
-    gl_nodes, gl_w = np.polynomial.legendre.leggauss(40)
+    gl_nodes, gl_w = _gauss_legendre(40)
 
     rows = []
     for lam in lambdas:

@@ -244,6 +244,33 @@ def test_residue_point_count_exit_2(capsys, blowup_file):
     assert capsys.readouterr().err == "error: --point: expected 3 values\n"
 
 
+@pytest.mark.parametrize(
+    "form, message",
+    [
+        ("1,1", "expected 3 values"),
+        ("1,1,0,0", "expected 3 values"),
+        ("a,1,0", "expected integers"),
+        ("1/2,1,0", "expected integers"),
+        ("0,0,0", "expected a nonzero vector"),
+    ],
+    ids=["short", "long", "letter", "fraction", "zero"],
+)
+def test_residue_form_errors_name_the_flag(capsys, blowup_file, form, message):
+    # a form of the wrong length can match no pole, so its residue sum of 0
+    # would be a false residues-cancel pass
+    assert main(["residue", blowup_file, "--form", form, "--point", "1/3,-1/3,1/5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: --form: {message}\n"
+    assert captured.out == ""
+
+
+def test_mellin_check_lam_below_2_names_the_flag(capsys, diagonal_file):
+    assert main(["mellin-check", diagonal_file, "--lam", "3,3", "--lam", "1,3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: --lam: mellin-check needs every value >= 2\n"
+    assert captured.out == ""
+
+
 def test_divlemma_input_errors_name_the_field(capsys, tmp_path):
     no_psi = tmp_path / "no_psi.json"
     no_psi.write_text(json.dumps({"n": 3, "K": [1]}))

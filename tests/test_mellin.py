@@ -28,7 +28,7 @@ from residuelab import (
     value_at_origin,
 )
 from residuelab.linform import AffineForm
-from residuelab.mellin import DimensionTooLargeError
+from residuelab.mellin import DimensionTooLargeError, _gauss_legendre
 from residuelab.merovalue import PoleAtOriginError
 from residuelab.poly import Poly
 
@@ -249,6 +249,45 @@ def test_quadrature_requires_convergence_zone():
     sc = simple_scenario(0, 1, a=1, b=0)
     with pytest.raises(ValueError):
         mellin_quadrature(sc, "c", [1.0])
+
+
+def test_gauss_legendre_rule_is_read_only():
+    nodes, weights = _gauss_legendre(24)
+    assert _gauss_legendre(24)[0] is nodes
+    for arr in (nodes, weights):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+
+
+def _criterion_8_strata():
+    """The first criterion-8 scenario (nonzero exact value) of each
+    (n, test-form terms) stratum the bench's quadrature set draws from."""
+    rng = random.Random(808)
+    picked = {}
+    while len(picked) < 4:
+        sc = random_chart_scenario(rng, nmax=2, pmax=2, qmax=2, emax=3)
+        stratum = (sc.signature.n, len(sc.testform("c").terms))
+        if stratum not in picked and not mellin_exact(sc, sc.charts[0]).is_zero():
+            picked[stratum] = sc
+    return picked
+
+
+# repr of (value, error) at lambda_j = (9 + 2j)/4: `eval` reports carry the
+# quadrature value and the recorded bench digests hash it, so it is pinned bit
+# for bit
+QUADRATURE_STRATA = {
+    (1, 1): ("(2.9075781711537383+11.630312684614953j)", "3.0395043542187656e-13"),
+    (1, 2): ("(-1.6829960644231532-11.444373238077397j)", "2.2694490288345586e-13"),
+    (2, 1): ("(-0.02076634344294877-0.02076634344294877j)", "1.5504663029502278e-15"),
+    (2, 2): ("(-20.778585462652565+7.007364000262076j)", "6.755763208732738e-13"),
+}
+
+
+def test_quadrature_criterion_8_strata_bit_identical():
+    for stratum, sc in sorted(_criterion_8_strata().items()):
+        lam = [complex(Fraction(9 + 2 * j, 4)) for j in range(sc.signature.nfactors)]
+        q = mellin_quadrature(sc, sc.charts[0], lam)
+        assert (repr(complex(q.value)), repr(float(q.error))) == QUADRATURE_STRATA[stratum], stratum
 
 
 # --- extreme poles -------------------------------------------------------------

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from residuelab import tubes
+from residuelab import mellin, tubes
 from residuelab import (
     AdmissiblePath,
     ChartSpec,
@@ -18,8 +18,10 @@ from residuelab import (
     TubeSpec,
     UnsupportedTubeError,
     admissible_limit,
+    blowup_example,
     diagonal_scenario,
     mellin_check,
+    mellin_quadrature,
     mellin_exact,
     tube_integral,
     tube_spec_from_chart,
@@ -250,6 +252,33 @@ def test_mellin_check_one_factor_rows_bit_identical(k, p, lam):
     spec = tube_spec_from_chart(chart, [Fraction(1, 100)])
     (row,) = mellin_check(spec, sc.testform(chart.name), [[complex(Fraction(lam))]])
     assert (repr(row.transform), repr(row.rel_error)) == ONE_FACTOR_ROWS[(k, p, lam)]
+
+
+def test_gauss_legendre_rules_computed_once_per_node_count(monkeypatch):
+    import numpy as np
+
+    leggauss = np.polynomial.legendre.leggauss
+    calls = []
+
+    def counting(n):
+        calls.append(n)
+        return leggauss(n)
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
+    mellin._gauss_legendre.cache_clear()
+    try:
+        # a two-term, n = 3 quadrature runs six variables in each of its passes
+        sc = blowup_example()
+        two_terms = SeparableTestForm(sc.testform("z").terms[:2])
+        scenario = Scenario(sc.signature, (sc.chart("z"),), {"z": two_terms})
+        q = mellin_quadrature(scenario, "z", [3.0, 4.0, 5.0])
+        assert q.value
+        check = diagonal_scenario([1, 1], p=1)
+        spec = tube_spec_from_chart(check.charts[0], [Fraction(1, 100)] * 2)
+        mellin_check(spec, check.testform(check.charts[0].name), [[3.0, 4.0], [2.5, 3.5]])
+    finally:
+        mellin._gauss_legendre.cache_clear()
+    assert sorted(calls) == [24, 40, 48]
 
 
 def test_unsupported_tube_shapes():
