@@ -242,6 +242,8 @@ def cmd_residue(args, report: Report) -> None:
     report.inputs.update(inputs)
     form = _form(args.form, "--form", scenario.signature.nfactors)
     point = _fractions(args.point, "--point", scenario.signature.nfactors)
+    if form.eval(point) != 0:
+        raise ScenarioError("--point", "not on the --form hyperplane")
     total = QI.zero()
     power = 0
     for chart in scenario.charts:

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
 from typing import Sequence, Tuple
 
 
@@ -22,6 +24,33 @@ def _fr(x) -> Fraction:
     if isinstance(x, (Fraction, int)):
         return Fraction(x)
     raise TypeError(f"expected exact rational, got {x!r}")
+
+
+def _float_comparable(k: Fraction):
+    # an int, or a float equal to k, else k itself: each compares with a float
+    # exactly, where float(1/3) would not (float(1/3) < 1/3, not < float(1/3))
+    if k.denominator == 1:
+        return k.numerator
+    f = float(k)
+    return f if Fraction(f) == k else k
+
+
+def _piece_weights(piece: Tuple[Fraction, ...], b: int) -> Tuple[int, Tuple[int, ...]]:
+    """A common denominator L and integer weights w_k = c_k*L/(b+k+1), so that the
+    piece's integral of t^b * rho is sum_k w_k * t^(b+k+1) / L."""
+    es = range(b + 1, b + 1 + len(piece))
+    lcd = lcm(*(c.denominator * e for c, e in zip(piece, es) if c))
+    return lcd, tuple(c.numerator * (lcd // (c.denominator * e)) for c, e in zip(piece, es))
+
+
+def _power_sum(weights: Tuple[int, ...], b: int, x: Fraction) -> Tuple[int, int]:
+    """sum_k weights[k] * x^(b+k+1) as an integer numerator and denominator."""
+    n, d = x.numerator, x.denominator
+    acc, dpow = 0, 1
+    for w in reversed(weights):
+        acc = acc * n + w * dpow
+        dpow *= d
+    return acc * n ** (b + 1), dpow * d**b
 
 
 @dataclass(frozen=True)
@@ -74,20 +103,31 @@ class RadialProfile:
     def is_zero(self) -> bool:
         return not self.pieces or all(not any(p) for p in self.pieces)
 
+    @cached_property
+    def _float_view(self):
+        """Knots that compare with a float exactly, and each piece's float coefficients."""
+        pieces = tuple(tuple(map(float, p)) for p in self.pieces)
+        return tuple(map(_float_comparable, self.knots)), pieces
+
+    @cached_property
+    def _tail_weights(self) -> dict:
+        return {}  # b -> one `_piece_weights` per piece, filled by moment_tail
+
     def value(self, t):
-        """Evaluate at an exact rational or a float."""
-        if not self.knots:
+        """Evaluate at an exact rational (int or Fraction; exact result) or a float."""
+        if isinstance(t, int):
+            t = Fraction(t)
+        knots, pieces = (self.knots, self.pieces) if isinstance(t, Fraction) else self._float_view
+        if not knots or t < knots[0] or t > knots[-1]:
             return 0 * t
-        if t < self.knots[0] or t > self.knots[-1]:
-            return 0 * t
-        idx = len(self.knots) - 2
-        for j in range(len(self.knots) - 1):
-            if t < self.knots[j + 1]:
+        idx = len(knots) - 2
+        for j in range(len(knots) - 1):
+            if t < knots[j + 1]:
                 idx = j
                 break
         acc = 0 * t
-        for c in reversed(self.pieces[idx]):
-            acc = acc * t + (Fraction(c) if isinstance(t, Fraction) else float(c))
+        for c in reversed(pieces[idx]):
+            acc = acc * t + c
         return acc
 
     def value_at_zero(self) -> Fraction:
@@ -141,22 +181,22 @@ class RadialProfile:
         return self.mul_poly([c])
 
     def moment_tail(self, b: int, t0: Fraction) -> Fraction:
-        """Exact integral of t^b * rho(t) over [max(t0, 0), support end]."""
-        if self.is_zero():
-            return Fraction(0)
-        t0 = Fraction(t0)
-        total = Fraction(0)
-        for j, p in enumerate(self.pieces):
+        """Exact integral of t^b * rho(t) over [max(t0, 0), support end], summed in integers."""
+        t0 = t0 if isinstance(t0, Fraction) else Fraction(t0)
+        weights = self._tail_weights.get(b)
+        if weights is None:
+            weights = self._tail_weights[b] = tuple(_piece_weights(p, b) for p in self.pieces)
+        num, den = 0, 1
+        for j, (lcd, w) in enumerate(weights):
             lo = max(self.knots[j], t0)
             hi = self.knots[j + 1]
             if lo >= hi:
                 continue
-            for k, c in enumerate(p):
-                if not c:
-                    continue
-                e = b + k + 1
-                total += c * (hi**e - lo**e) / e
-        return total
+            hn, hd = _power_sum(w, b, hi)
+            ln, ld = _power_sum(w, b, lo)
+            num = num * lcd * hd * ld + (hn * ld - ln * hd) * den
+            den *= lcd * hd * ld
+        return Fraction(num, den)
 
     def moment(self, b: int) -> Fraction:
         return self.moment_tail(b, Fraction(0))

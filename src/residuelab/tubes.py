@@ -146,17 +146,18 @@ def _tube_factor(column: Tuple[int, ...], j: Optional[int], f: Factor, p: int, e
 
 
 def _moment_tail_float(rho, b: int, t0: float) -> float:
+    knots, pieces = rho._float_view
     total = 0.0
-    for j, piece in enumerate(rho.pieces):
-        lo = max(float(rho.knots[j]), t0)
-        hi = float(rho.knots[j + 1])
+    for j, piece in enumerate(pieces):
+        lo = max(float(knots[j]), t0)
+        hi = float(knots[j + 1])
         if lo >= hi:
             continue
         for k, c in enumerate(piece):
             if not c:
                 continue
             e = b + k + 1
-            total += float(c) * (hi**e - lo**e) / e
+            total += c * (hi**e - lo**e) / e
     return total
 
 
@@ -202,6 +203,8 @@ def admissible_limit(
     """Extrapolate the tube integral along an admissible path to t -> 0 from
     samples at t = LIMIT_T0 / 2^j; `converged` means the error estimate (the
     last change of the accelerated sequence) is at most `tol`, absolute."""
+    if samples < 2:
+        raise ValueError("admissible_limit needs samples >= 2")
     if path is None:
         path = AdmissiblePath.default(len(spec.vars))
     if not path.ratio_condition_ok():

@@ -264,6 +264,16 @@ def test_residue_form_errors_name_the_flag(capsys, blowup_file, form, message):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("form", ["1,0,0", "1,1,0"], ids=["no-pole", "pole"])
+def test_residue_point_off_the_form_hyperplane_names_the_flag(capsys, blowup_file, form):
+    # 1,0,0 matches no pole, so its residue sum of 0 would be a false
+    # residues-cancel pass; 1,1,0 would fail inside the engine
+    assert main(["residue", blowup_file, "--form", form, "--point", "1,2,3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: --point: not on the --form hyperplane\n"
+    assert captured.out == ""
+
+
 def test_mellin_check_lam_below_2_names_the_flag(capsys, diagonal_file):
     assert main(["mellin-check", diagonal_file, "--lam", "3,3", "--lam", "1,3"]) == 2
     captured = capsys.readouterr()

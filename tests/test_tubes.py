@@ -297,3 +297,74 @@ def test_circle_slot_conflict_gives_zero():
     spec = TubeSpec(2, (1, 2), (1, 1), 1, (Fraction(1, 4), Fraction(1, 4)))
     tf = term([Factor(0, 0, box()), Factor(1, 0, box())], {1})
     assert tube_integral(spec, tf) == 0
+
+
+# a knot at 1/3: float radii near it fall on either side of the piece boundary
+THIRD_KNOT = RadialProfile(
+    (Fraction(0), Fraction(1, 3), Fraction(1)),
+    ((Fraction(1), Fraction(-3, 7), Fraction(1, 3)), (Fraction(5, 6), Fraction(0), Fraction(-1, 2))),
+)
+# mellin_check compares with mellin_exact, which takes only profiles on [0, 1];
+# a 1/3 coefficient keeps the exact k = 1 tail's denominators non-dyadic
+THIRD_COEFF = RadialProfile.on_unit([1, Fraction(-1, 3), Fraction(-2, 3)])
+
+# repr of tube integrals on the [1, 2, 1] p=1 tube with THIRD_KNOT factors,
+# by radii: the tube paths evaluate profiles in floats and must keep these bits
+THIRD_KNOT_TUBES = {
+    "1/3,1/3,1/3": "19.068705032812673j",
+    "1/2,1/9,1/5": "35.84383224563171j",
+    "1/5,1/3,1/2": "13.561355903173581j",
+}
+THIRD_KNOT_LIMIT_SAMPLES = (
+    "46.13316642370937j", "82.62877165762765j", "103.15960154703674j", "113.74015532787223j",
+    "119.12754695952589j", "121.84725056050894j", "123.2138039412332j", "123.8987805695135j",
+    "124.24169692637393j", "124.41326249754593j", "124.49907217907021j", "124.54198374978593j",
+    "124.56344121837827j", "124.57417037357634j",
+)
+# (transform, rel_error) of the rows at lam = (3, ..., 3) and (2.5+1j, 3.25, ...),
+# by (ks, the factors' a); every factor has b = 1 and the THIRD_COEFF profile
+THIRD_COEFF_CHECKS = {
+    ((1, 1), (1, 2)): [
+        ("(0.42089424059671976+0j)", "2.3739947611210574e-15"),
+        ("(0.40857779956167-0.03550279295253013j)", "2.0739071632514144e-15"),
+    ],
+    ((1, 2, 1), (1, 3, 2)): [
+        ("0.05631925897505358j", "2.0945090278739843e-15"),
+        ("(0.00425334922073578+0.04894893952988907j)", "2.4320453348717006e-15"),
+    ],
+}
+
+
+def test_third_knot_tube_integrals_and_limit_pinned():
+    factors = [Factor(0, 0, THIRD_KNOT), Factor(2, 0, THIRD_KNOT), Factor(1, 0, THIRD_KNOT)]
+    sc = diagonal_scenario([1, 2, 1], p=1, factors=factors)
+    chart = sc.charts[0]
+    tf = sc.testform(chart.name)
+    for radii, want in THIRD_KNOT_TUBES.items():
+        eps = [Fraction(x) for x in radii.split(",")]
+        assert repr(tube_integral(tube_spec_from_chart(chart, eps), tf)) == want
+    res = admissible_limit(tube_spec_from_chart(chart, [Fraction(1, 4)] * 3), tf)
+    assert tuple(repr(z) for z in res.samples) == THIRD_KNOT_LIMIT_SAMPLES
+    assert (repr(res.value), repr(res.error), res.converged) == (
+        "124.58489980941064j", "1.050182163453428e-11", True,
+    )
+
+
+@pytest.mark.parametrize("ks, a", sorted(THIRD_COEFF_CHECKS))
+def test_third_coeff_mellin_check_rows_pinned(ks, a):
+    sc = diagonal_scenario(ks, p=1, factors=[Factor(x, 1, THIRD_COEFF) for x in a])
+    chart = sc.charts[0]
+    spec = tube_spec_from_chart(chart, [Fraction(1, 100)] * len(ks))
+    lams = [[3] * len(ks), [2.5 + 1j] + [3.25] * (len(ks) - 1)]
+    rows = mellin_check(spec, sc.testform(chart.name), lams)
+    assert [(repr(r.transform), repr(r.rel_error)) for r in rows] == THIRD_COEFF_CHECKS[(ks, a)]
+
+
+@pytest.mark.parametrize("samples", [0, 1])
+def test_admissible_limit_needs_two_samples(samples):
+    sc = diagonal_scenario([1], p=1)
+    chart = sc.charts[0]
+    spec = tube_spec_from_chart(chart, [Fraction(1, 4)])
+    with pytest.raises(ValueError, match="samples >= 2"):
+        admissible_limit(spec, sc.testform(chart.name), samples=samples)
+    assert len(admissible_limit(spec, sc.testform(chart.name), samples=2).samples) == 2
