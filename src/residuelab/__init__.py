@@ -15,7 +15,6 @@ from .charts import (
     blowup_parts,
     diagonal_scenario,
     parse_scenario,
-    pv_divisor_vars,
 )
 from .deduction import (
     CurrentSymbol,
@@ -47,12 +46,11 @@ from .leibniz import (
     global_certificate,
     rank_basis,
 )
-from .linform import AffineForm, LinForm, ZeroFormError, axis_proportional, normalize
+from .linform import AffineForm, LinForm, ZeroFormError
 from .mellin import (
     extreme_pole,
     mellin_exact,
     mellin_quadrature,
-    radial_integral,
     residue_on,
     value_at_origin,
 )

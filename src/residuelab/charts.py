@@ -119,10 +119,6 @@ class ChartSpec:
         )
 
 
-def pv_divisor_vars(chart: ChartSpec) -> frozenset:
-    return chart.pv_divisor_vars()
-
-
 @dataclass(frozen=True)
 class Factor:
     a: int
@@ -305,6 +301,8 @@ def parse_scenario(document) -> Scenario:
             if not isinstance(t, dict):
                 raise ScenarioError(tb, "expected object")
             co = t.get("coeff", {})
+            if not isinstance(co, dict):
+                raise ScenarioError(f"{tb}.coeff", "expected object with re and im")
             coeff = QI(
                 _rational(co.get("re", [0, 1]), f"{tb}.coeff.re"),
                 _rational(co.get("im", [0, 1]), f"{tb}.coeff.im"),

@@ -21,6 +21,8 @@ from typing import List, Optional, Sequence
 from .charts import (
     Scenario,
     ScenarioError,
+    _int,
+    _matrix,
     blowup_example,
     blowup_parts,
     parse_scenario,
@@ -325,10 +327,20 @@ def cmd_divlemma(args, report: Report) -> None:
         raise ScenarioError(args.file, "expected a JSON object")
     report.inputs["file"] = str(p)
     report.inputs["sha256"] = _sha256(p)
-    n = obj.get("n")
-    if not isinstance(n, int) or n < 1:
-        raise ScenarioError("n", "need a positive dimension")
+    n = _int(obj.get("n"), "n", 1)
     K = obj.get("K", [])
+    if not isinstance(K, list):
+        raise ScenarioError("K", "expected an index list")
+    for i, j in enumerate(K):
+        if _int(j, f"K[{i}]", 1) > n or j in K[:i]:
+            raise ScenarioError(f"K[{i}]", f"expected a distinct index in 1..{n}, got {j}")
+    alphas = obj.get("alphas", [])
+    if not isinstance(alphas, list):
+        raise ScenarioError("alphas", "expected a list of exponent rows")
+    rows = _matrix(alphas, len(alphas), n, "alphas")
+    for r, row in enumerate(rows):
+        if not any(row):
+            raise ScenarioError(f"alphas[{r}]", "a zero exponent row has no differential")
     if "psi" not in obj:
         raise ScenarioError("psi", "missing")
     psi = form_from_obj(obj["psi"], n, "psi")
@@ -341,9 +353,8 @@ def cmd_divlemma(args, report: Report) -> None:
     rep = log_wedge_nonsingular(psi, omega, K)
     for j in sorted(rep):
         report.verdict(f"nonsingular-log-wedge:x{j}", rep[j], value=rep[j])
-    alphas = obj.get("alphas")
-    if alphas:
-        ok = annihilated_by_row_differentials(omega, [tuple(r) for r in alphas])
+    if rows:
+        ok = annihilated_by_row_differentials(omega, rows)
         report.verdict("row-differentials-annihilate", ok)
 
 

@@ -200,10 +200,6 @@ class ProofTrace:
     final: PoleConstraint
     analytic: bool
 
-    def steps_for(self, dbar: Sequence[int]) -> List[TraceStep]:
-        want = sum(1 << (i - 1) for i in frozenset(dbar))
-        return [s for s in self.steps if s.target_mask == want]
-
     def to_obj(self) -> dict:
         return {
             "p": self.p,

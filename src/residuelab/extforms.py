@@ -14,6 +14,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Dict, Iterable, Mapping, Sequence, Tuple
 
+from .orientation import inversion_parity
 from .poly import Poly
 
 IndexTuple = Tuple[int, ...]
@@ -25,16 +26,9 @@ class DegreeError(ValueError):
 
 def _sorted_signed(idx: Sequence[int]) -> Tuple[IndexTuple, int]:
     """Sort wedge indices, tracking the permutation sign; repeated index kills the term."""
-    idx = list(idx)
     if len(set(idx)) != len(idx):
         return (), 0
-    sign = 1
-    for i in range(len(idx)):
-        for j in range(len(idx) - 1 - i):
-            if idx[j] > idx[j + 1]:
-                idx[j], idx[j + 1] = idx[j + 1], idx[j]
-                sign = -sign
-    return tuple(idx), sign
+    return tuple(sorted(idx)), inversion_parity(idx)
 
 
 @dataclass(frozen=True)
@@ -153,16 +147,6 @@ def wedge(a: PolyForm, b: PolyForm) -> PolyForm:
     return PolyForm(a.nvars, d, out)
 
 
-def wedge_all(forms: Iterable[PolyForm]) -> PolyForm:
-    forms = list(forms)
-    if not forms:
-        raise ValueError("empty wedge")
-    acc = forms[0]
-    for f in forms[1:]:
-        acc = wedge(acc, f)
-    return acc
-
-
 def d_monomial(nvars: int, alpha: Sequence[int]) -> PolyForm:
     """d(x^alpha) = sum_i alpha_i x^(alpha - e_i) dx_i."""
     if not any(alpha):
@@ -185,10 +169,9 @@ def restrict_extend(f: PolyForm, S: Iterable[int]) -> PolyForm:
     for idx, c in f.terms.items():
         if any(i in S for i in idx):
             continue
-        for i in S:
-            c = c.eval_partial(i - 1, Fraction(0))
-        if not c.is_zero():
-            out[idx] = c
+        kept = {e: v for e, v in c.terms.items() if not any(e[i - 1] for i in S)}
+        if kept:
+            out[idx] = Poly(f.nvars, kept)
     return PolyForm(f.nvars, f.degree, out)
 
 
@@ -272,22 +255,31 @@ def pullback_monomial(form: PolyForm, subst: Sequence[Sequence[int]], nvars_out:
 
 
 def form_from_obj(obj: dict, nvars: int, path: str = "form") -> PolyForm:
-    from .charts import ScenarioError, _rational
+    from .charts import ScenarioError, _int, _rational
 
-    if not isinstance(obj, dict) or "degree" not in obj or "terms" not in obj:
+    if not isinstance(obj, dict) or "degree" not in obj or not isinstance(obj.get("terms"), list):
         raise ScenarioError(path, "expected {degree, terms}")
-    degree = obj["degree"]
+    degree = _int(obj["degree"], f"{path}.degree", 0)
     terms: Dict[IndexTuple, Poly] = {}
     for ti, t in enumerate(obj["terms"]):
         tb = f"{path}.terms[{ti}]"
+        if not isinstance(t, dict):
+            raise ScenarioError(tb, "expected object")
         idx = t.get("idx")
         if not isinstance(idx, list):
             raise ScenarioError(f"{tb}.idx", "expected index list")
+        idx = [_int(v, f"{tb}.idx[{k}]", 1) for k, v in enumerate(idx)]
+        monos = t.get("poly", [])
+        if not isinstance(monos, list):
+            raise ScenarioError(f"{tb}.poly", "expected monomial list")
         poly = Poly.zero(nvars)
-        for mi, mono in enumerate(t.get("poly", [])):
+        for mi, mono in enumerate(monos):
+            if not isinstance(mono, dict):
+                raise ScenarioError(f"{tb}.poly[{mi}]", "expected object")
             exps = mono.get("exps")
             if not isinstance(exps, list) or len(exps) != nvars:
                 raise ScenarioError(f"{tb}.poly[{mi}].exps", f"expected {nvars} exponents")
+            exps = [_int(v, f"{tb}.poly[{mi}].exps[{k}]", 0) for k, v in enumerate(exps)]
             coeff = _rational(mono.get("coeff"), f"{tb}.poly[{mi}].coeff")
             poly = poly + Poly.monomial(nvars, exps, coeff)
         sidx, sign = _sorted_signed(idx)

@@ -29,10 +29,9 @@ class CancellationError(AssertionError):
 
 @dataclass(frozen=True)
 class HalfSpaceCert:
-    """Width of the pole-free half space plus the hyperplanes excluded from it."""
+    """Width of the pole-free half space; the certificate's forms are the poles it excludes."""
 
     eps: Fraction
-    excluded_poles: frozenset
 
     def __post_init__(self):
         if self.eps <= 0:
@@ -186,7 +185,7 @@ def chart_certificate(chart: ChartSpec) -> PoleCertificate:
     return PoleCertificate(
         forms=forms,
         scope=chart.name,
-        halfspace=HalfSpaceCert(halfspace_width(chart), forms),
+        halfspace=HalfSpaceCert(halfspace_width(chart)),
     )
 
 
@@ -207,7 +206,7 @@ def global_certificate(scenario: Scenario) -> PoleCertificate:
     return PoleCertificate(
         forms=forms,
         scope="global",
-        halfspace=HalfSpaceCert(eps, forms),
+        halfspace=HalfSpaceCert(eps),
     )
 
 

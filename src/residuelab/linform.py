@@ -13,9 +13,6 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Optional, Sequence, Tuple
 
-from .gaussian import QI
-from .poly import Poly
-
 
 class ZeroFormError(ValueError):
     """Raised when the zero vector is offered as a linear form."""
@@ -42,6 +39,7 @@ class LinForm:
 
     @staticmethod
     def normalize(raw: Sequence[int]) -> "LinForm":
+        """Unique primitive representative with positive leading coefficient."""
         vec, _, _ = _normalized(raw, 0)
         return LinForm(vec)
 
@@ -107,19 +105,6 @@ class AffineForm:
     def eval_complex(self, values: Sequence[complex]) -> complex:
         return complex(self.const) + sum(c * v for c, v in zip(self.coeffs, values) if c)
 
-    def as_poly(self) -> Poly:
-        """The form as a degree-one polynomial with QI coefficients."""
-        terms = {}
-        n = len(self.coeffs)
-        if self.const:
-            terms[(0,) * n] = QI.of(self.const)
-        for j, c in enumerate(self.coeffs):
-            if c:
-                e = [0] * n
-                e[j] = 1
-                terms[tuple(e)] = QI.of(c)
-        return Poly(n, terms)
-
     def __str__(self) -> str:
         return _form_str(self.coeffs, self.const)
 
@@ -148,14 +133,3 @@ def _form_str(coeffs: Sequence[int], const: int) -> str:
     for sign, txt in parts[1:]:
         out += sign + txt
     return out
-
-
-def normalize(raw: Sequence[int]) -> LinForm:
-    """Unique primitive representative with positive leading coefficient."""
-    return LinForm.normalize(raw)
-
-
-def axis_proportional(f: LinForm) -> Optional[int]:
-    """1-based axis index when the normalized form is a unit coordinate form."""
-    return f.axis_index()
-

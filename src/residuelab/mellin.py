@@ -64,18 +64,6 @@ def radial_factor(nvars: int, mu_vec: Sequence[int], shift: int, rho: RadialProf
     return (s * QI.of(-1)).mul_token(1)
 
 
-def radial_integral(mu: LinForm, c: int, rho: RadialProfile) -> MeroValue:
-    """Exact 2*pi * integral of r^(2*mu+c) rho(r^2) r dr as a rational function of mu.
-
-    The twist-free angular factor always makes c even; poles sit at
-    mu = -(c + 2k + 2)/2 over the nonzero Taylor data of rho.
-    """
-    if c % 2:
-        raise ValueError("odd radial shift cannot arise from a zero angular twist")
-    s = _mellin_sum(mu.nvars, mu.coeffs, c // 2, rho)
-    return (s * QI.of(0, Fraction(-1, 2))).mul_token(1)
-
-
 def _resolve_chart(scenario: Scenario, chart: Union[ChartSpec, str]) -> ChartSpec:
     if isinstance(chart, str):
         return scenario.chart(chart)

@@ -413,13 +413,6 @@ class MeroValue:
             return self
         return MeroValue(self.nvars, self._terms, self._content, self.den, self.token_pow + k, self._reduced)
 
-    def div_form(self, form: AffineForm, mult: int = 1) -> "MeroValue":
-        if self.is_zero():
-            return self
-        v = self.reduced()
-        den = dict(_merge_dens(list(v.den) + [(form, mult)]))
-        return MeroValue._canonical(v.nvars, v._terms, v._content, den, v.token_pow, [form] if mult else [])
-
     def mul_poly(self, p: Poly) -> "MeroValue":
         return self * MeroValue.from_poly(p)
 
@@ -463,10 +456,10 @@ class MeroValue:
         val = QI(sre / scale, sim / scale)
         return TokenScalar(val, self.token_pow if val else 0)
 
-    def eval_complex(self, point: Sequence[complex], token: complex | None = None) -> complex:
+    def eval_complex(self, point: Sequence[complex]) -> complex:
         import math
 
-        tok = token if token is not None else 2j * math.pi
+        tok = 2j * math.pi
         c = self._content
         num = 0j
         for e, (re, im) in sorted(self._terms.items()):

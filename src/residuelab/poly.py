@@ -98,52 +98,6 @@ class Poly:
         p.terms = {e: c * v for e, v in self.terms.items()}
         return p
 
-    def mul_monomial(self, exps: Sequence[int], c) -> "Poly":
-        if not c:
-            return Poly(self.nvars)
-        p = Poly(self.nvars)
-        p.terms = {tuple(a + b for a, b in zip(e, exps)): v * c for e, v in self.terms.items()}
-        return p
-
-    def deg_in(self, j: int) -> int:
-        if not self.terms:
-            return -1
-        return max(e[j] for e in self.terms)
-
-    def coeff_of_power(self, j: int, d: int) -> "Poly":
-        """Coefficient of x_j^d, as a polynomial with x_j-exponent zeroed."""
-        out: Dict[Exponent, object] = {}
-        for e, c in self.terms.items():
-            if e[j] == d:
-                e2 = list(e)
-                e2[j] = 0
-                out[tuple(e2)] = c
-        p = Poly(self.nvars)
-        p.terms = out
-        return p
-
-    def eval_partial(self, j: int, value) -> "Poly":
-        """Substitute an exact scalar for x_j."""
-        out = Poly(self.nvars)
-        acc: Dict[Exponent, object] = {}
-        for e, c in self.terms.items():
-            v = c
-            for _ in range(e[j]):
-                v = v * value
-            if not v:
-                continue
-            e2 = list(e)
-            e2[j] = 0
-            key = tuple(e2)
-            s = acc.get(key)
-            s = v if s is None else s + v
-            if s:
-                acc[key] = s
-            elif key in acc:
-                del acc[key]
-        out.terms = acc
-        return out
-
     def divisible_monomial(self, j: int) -> bool:
         """True when every term contains the variable x_j."""
         return all(e[j] >= 1 for e in self.terms)

@@ -93,7 +93,6 @@ class RadialProfile:
     def bump(degree: int = 2) -> "RadialProfile":
         """(1 - t)^degree on [0, 1]; value 1 at the origin."""
         coeffs = [Fraction(0)] * (degree + 1)
-        sign = 1
         from math import comb
 
         for k in range(degree + 1):

@@ -153,7 +153,7 @@ def test_criterion_5_deduction(capsys):
         for q in range(0, 6):
             assert deduce(p, q).analytic
     trace = deduce(2, 1)
-    steps = trace.steps_for({1, 2})
+    steps = [s for s in trace.steps if s.target.dbar_set == {1, 2}]
     assert len(steps) == 2
     assert steps[0].context.allowed_supports == frozenset({frozenset({1, 3})})
     assert steps[0].result.allowed_supports == frozenset({frozenset({1})})

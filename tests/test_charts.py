@@ -1,3 +1,4 @@
+import functools
 import json
 
 import pytest
@@ -8,9 +9,8 @@ from residuelab import (
     ScenarioError,
     blowup_example,
     parse_scenario,
-    pv_divisor_vars,
 )
-from residuelab.extforms import d_monomial, wedge_all
+from residuelab.extforms import d_monomial, wedge
 
 
 MINIMAL = {
@@ -23,7 +23,7 @@ MINIMAL = {
 def test_parse_minimal():
     sc = parse_scenario(json.dumps(MINIMAL))
     assert sc.signature.q == 1
-    assert pv_divisor_vars(sc.charts[0]) == frozenset({1})
+    assert sc.charts[0].pv_divisor_vars() == frozenset({1})
 
 
 def test_parse_blowup_example_roundtrip():
@@ -67,6 +67,15 @@ def test_parse_dbar_slot_count():
     assert "dbar_slots" in err.value.path
 
 
+@pytest.mark.parametrize("coeff", ["1", [1, 2], 3])
+def test_parse_non_object_coeff_path(coeff):
+    doc = blowup_example().to_obj()
+    doc["testforms"]["z"]["terms"][0]["coeff"] = coeff
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(doc)
+    assert err.value.path == "testforms['z'].terms[0].coeff"
+
+
 def test_zero_alpha_row_needs_unit_flag():
     bad = {
         "signature": {"n": 2, "p": 1, "q": 0, "N": 1},
@@ -92,11 +101,11 @@ def test_signature_invariants():
 
 def test_pv_divisor_vars():
     c = ChartSpec("c", ((1, 0, 0),), ((1, 0, 0),), (0, 0, 0), 1)
-    assert pv_divisor_vars(c) == frozenset({1})
+    assert c.pv_divisor_vars() == frozenset({1})
     c2 = ChartSpec("c", ((1, 0, 0),), (), (0, 0, 0), 1)
-    assert pv_divisor_vars(c2) == frozenset()
+    assert c2.pv_divisor_vars() == frozenset()
     c3 = ChartSpec("c", ((1, 0, 0),), ((0, 1, 1), (0, 0, 2)), (0, 0, 0), 1)
-    assert pv_divisor_vars(c3) == frozenset({2, 3})
+    assert c3.pv_divisor_vars() == frozenset({2, 3})
 
 
 def test_blowup_example_rows():
@@ -106,7 +115,7 @@ def test_blowup_example_rows():
     assert z.alpha == ((0, 1, 0), (0, 1, 1))
     assert zeta.alpha == ((0, 1, 1), (0, 1, 0))
     assert z.beta == zeta.beta == ((1, 0, 0),)
-    assert pv_divisor_vars(z) == pv_divisor_vars(zeta) == frozenset({1})
+    assert z.pv_divisor_vars() == zeta.pv_divisor_vars() == frozenset({1})
 
 
 def test_blowup_substitutions_reproduce_chart_data():
@@ -128,7 +137,7 @@ def test_blowup_substitutions_reproduce_chart_data():
         assert tuple(compose(r) for r in base_alpha) == chart.alpha
         assert tuple(compose(r) for r in base_beta) == chart.beta
         # pullback of the coordinate volume form fixes the Jacobian monomial and sign
-        vol = wedge_all([d_monomial(3, tuple(r)) for r in rows])
+        vol = functools.reduce(wedge, [d_monomial(3, tuple(r)) for r in rows])
         ((idx, coeff),) = list(vol.terms.items())
         assert idx == (1, 2, 3)
         ((exps, c),) = list(coeff.terms.items())

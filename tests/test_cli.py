@@ -292,6 +292,45 @@ def test_divlemma_input_errors_name_the_field(capsys, tmp_path):
     assert capsys.readouterr().err == f"error: {listed}: expected a JSON object\n"
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("K", [0], "K[0]: must be >= 1, got 0"),
+        ("K", [5], "K[0]: expected a distinct index in 1..3, got 5"),
+        ("K", ["a"], "K[0]: expected integer, got 'a'"),
+        ("K", [1, 1], "K[1]: expected a distinct index in 1..3, got 1"),
+        ("K", "1", "K: expected an index list"),
+        ("alphas", [[0, 0, 0]], "alphas[0]: a zero exponent row has no differential"),
+        ("alphas", [[0, 3]], "alphas[0]: expected 3 entries"),
+        ("alphas", [[0, -1, 0]], "alphas[0][1]: must be >= 0, got -1"),
+        ("alphas", [[0, 1, 0], [0, "a", 1]], "alphas[1][1]: expected integer, got 'a'"),
+        ("alphas", 3, "alphas: expected a list of exponent rows"),
+        ("psi", {"degree": 0, "terms": ["x"]}, "psi.terms[0]: expected object"),
+    ],
+    ids=["K-zero", "K-above-n", "K-string", "K-repeated", "K-not-list", "alphas-zero-row",
+         "alphas-short-row", "alphas-negative", "alphas-string", "alphas-not-list", "psi-term"],
+)
+def test_divlemma_index_and_row_errors_name_the_field(capsys, tmp_path, field, value, message):
+    # K = [0] used to wrap to x3 and pass; [5] and ["a"] used to exit 3
+    psi = PolyForm.basis(3, (2,)) + PolyForm.basis(3, (3,), Poly.variable(3, 0, Fraction(1)))
+    doc = {"n": 3, "K": [1], "psi": form_to_obj(psi), "alphas": [[0, 3, 0]], field: value}
+    path = tmp_path / "forms.json"
+    path.write_text(json.dumps(doc))
+    assert main(["divlemma", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
+def test_scenario_non_object_coeff_exits_2(capsys, tmp_path):
+    doc = blowup_example().to_obj()
+    doc["testforms"]["z"]["terms"][0]["coeff"] = [1, 2]
+    path = tmp_path / "coeff.json"
+    path.write_text(json.dumps(doc))
+    assert main(["poles", str(path)]) == 2
+    assert capsys.readouterr().err == "error: testforms['z'].terms[0].coeff: expected object with re and im\n"
+
+
 def test_tube_verdicts_compare_value_with_tolerance(capsys, diagonal_file):
     seen = set()
     for tol in ("1e-6", "1e-12", "1e-13", "1e-20"):

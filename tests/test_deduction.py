@@ -125,7 +125,7 @@ def test_deduce_trivial():
 def test_deduce_2_1_two_step_elimination_trace():
     trace = deduce(2, 1)
     assert trace.analytic
-    steps = trace.steps_for({1, 2})
+    steps = [s for s in trace.steps if s.target.dbar_set == {1, 2}]
     assert len(steps) == 2
     first, second = steps
     # first equality: context from the {1,3} symbol, leaving only the first axis

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+from residuelab import ScenarioError
+
 from residuelab.extforms import (
     PolyForm,
     annihilated_by_row_differentials,
@@ -178,6 +180,33 @@ def test_case_both_vars_divide_pv_factor():
         omega = build_interpolant(psih, K)
         assert all(log_wedge_nonsingular(psih, omega, K).values())
         assert annihilated_by_row_differentials(omega, alpha_rows)
+
+
+@pytest.mark.parametrize(
+    "obj, path",
+    [
+        ({"degree": 0, "terms": 5}, "psi"),
+        ({"degree": 0, "terms": ["x"]}, "psi.terms[0]"),
+        ({"degree": 0, "terms": [[1]]}, "psi.terms[0]"),
+        ({"degree": 0, "terms": [{"idx": [], "poly": [7]}]}, "psi.terms[0].poly[0]"),
+        ({"degree": 1, "terms": [{"idx": [1], "poly": [{"exps": [0, 0], "coeff": 1}, "m"]}]},
+         "psi.terms[0].poly[1]"),
+        ({"degree": 0, "terms": [{"idx": [], "poly": 5}]}, "psi.terms[0].poly"),
+        ({"degree": 1, "terms": [{"idx": ["a"], "poly": []}]}, "psi.terms[0].idx[0]"),
+        ({"degree": 1, "terms": [{"idx": [[1]], "poly": []}]}, "psi.terms[0].idx[0]"),
+        ({"degree": 0, "terms": [{"idx": [], "poly": [{"exps": ["a", 0], "coeff": 1}]}]},
+         "psi.terms[0].poly[0].exps[0]"),
+        ({"degree": 0, "terms": [{"idx": [], "poly": [{"exps": [0, -1], "coeff": 1}]}]},
+         "psi.terms[0].poly[0].exps[1]"),
+        ({"degree": "1", "terms": []}, "psi.degree"),
+    ],
+    ids=["terms-not-list", "term-string", "term-list", "monomial-int", "second-monomial",
+         "poly-not-list", "idx-string", "idx-list", "exps-string", "exps-negative", "degree-string"],
+)
+def test_form_literal_malformed_fields_name_the_path(obj, path):
+    with pytest.raises(ScenarioError) as err:
+        form_from_obj(obj, 2, "psi")
+    assert err.value.path == path
 
 
 def test_form_literals_roundtrip():

@@ -1,24 +1,24 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from residuelab import AffineForm, ZeroFormError, axis_proportional, normalize
+from residuelab import AffineForm, LinForm, ZeroFormError
 
 
 def test_normalize_gcd():
-    assert normalize((2, 4, 0)).coeffs == (1, 2, 0)
+    assert LinForm.normalize((2, 4, 0)).coeffs == (1, 2, 0)
 
 
 def test_normalize_sign_convention():
-    assert normalize((-1, 0, 1)).coeffs == (1, 0, -1)
+    assert LinForm.normalize((-1, 0, 1)).coeffs == (1, 0, -1)
 
 
 def test_normalize_gcd_offset():
-    assert normalize((0, 3, 3)).coeffs == (0, 1, 1)
+    assert LinForm.normalize((0, 3, 3)).coeffs == (0, 1, 1)
 
 
 def test_normalize_zero_vector_rejected():
     with pytest.raises(ZeroFormError):
-        normalize((0, 0, 0))
+        LinForm.normalize((0, 0, 0))
 
 
 vectors = st.lists(st.integers(-9, 9), min_size=1, max_size=6).filter(lambda v: any(v))
@@ -26,28 +26,28 @@ vectors = st.lists(st.integers(-9, 9), min_size=1, max_size=6).filter(lambda v: 
 
 @given(vectors)
 def test_normalize_idempotent(v):
-    f = normalize(v)
-    assert normalize(f.coeffs) == f
+    f = LinForm.normalize(v)
+    assert LinForm.normalize(f.coeffs) == f
 
 
 @given(vectors, st.integers(-9, 9).filter(bool))
 def test_normalize_scale_invariant(v, c):
-    assert normalize([c * x for x in v]) == normalize(v)
+    assert LinForm.normalize([c * x for x in v]) == LinForm.normalize(v)
 
 
 def test_axis_proportional():
-    assert axis_proportional(normalize((0, 1, 0))) == 2
-    assert axis_proportional(normalize((1, 1, 0))) is None
-    assert axis_proportional(normalize((0, 0, 1))) == 3
+    assert LinForm.normalize((0, 1, 0)).axis_index() == 2
+    assert LinForm.normalize((1, 1, 0)).axis_index() is None
+    assert LinForm.normalize((0, 0, 1)).axis_index() == 3
 
 
 def test_axis_proportional_scaled():
     # 3*L2 normalizes to the axis form
-    assert axis_proportional(normalize((0, 3, 0))) == 2
+    assert LinForm.normalize((0, 3, 0)).axis_index() == 2
 
 
 def test_support():
-    assert normalize((2, 0, -4)).support() == frozenset({1, 3})
+    assert LinForm.normalize((2, 0, -4)).support() == frozenset({1, 3})
 
 
 def test_affine_normalization():
@@ -55,7 +55,7 @@ def test_affine_normalization():
     assert f.coeffs == (1, 1) and f.const == 2
     g = AffineForm.normalize((-1, 0), -1)
     assert g.coeffs == (1, 0) and g.const == 1
-    assert g.linear_part() == normalize((1, 0))
+    assert g.linear_part() == LinForm.normalize((1, 0))
     assert not g.is_homogeneous()
 
 

@@ -21,17 +21,17 @@ from residuelab import (
     extreme_pole,
     mellin_exact,
     mellin_quadrature,
-    radial_integral,
     residue_on,
     tube_integral,
     tube_spec_from_chart,
     value_at_origin,
 )
 from residuelab.linform import AffineForm
-from residuelab.mellin import DimensionTooLargeError, _gauss_legendre
+from residuelab.mellin import DimensionTooLargeError, _gauss_legendre, radial_factor
 from residuelab.merovalue import PoleAtOriginError
 from residuelab.poly import Poly
 
+from affine_division import as_poly
 from corpus import random_chart_scenario
 
 
@@ -53,12 +53,15 @@ def token(coeff, power):
     return TokenScalar(QI.of(coeff), power)
 
 
-# --- radial_integral ---------------------------------------------------------
+# --- radial_factor -----------------------------------------------------------
+# 2*pi * integral of r^(2*mu+c) rho(r^2) r dr is i/2 times radial_factor at shift c/2
+
+
+HALF_I = QI.of(0, Fraction(1, 2))
 
 
 def test_radial_integral_box_profile():
-    mu = LinForm.normalize((1,))
-    v = radial_integral(mu, 0, RadialProfile.on_unit([1]))
+    v = radial_factor(1, (1,), 0, RadialProfile.on_unit([1])) * HALF_I
     expected = MeroValue.from_poly(
         Poly.const(1, QI.of(0, Fraction(-1, 2))), [(AffineForm((1,), 1), 1)], 1
     )
@@ -66,8 +69,7 @@ def test_radial_integral_box_profile():
 
 
 def test_radial_integral_shifted_pole_at_zero():
-    mu = LinForm.normalize((1,))
-    v = radial_integral(mu, -2, RadialProfile.on_unit([1]))
+    v = radial_factor(1, (1,), -1, RadialProfile.on_unit([1])) * HALF_I
     expected = MeroValue.from_poly(
         Poly.const(1, QI.of(0, Fraction(-1, 2))), [(AffineForm((1,), 0), 1)], 1
     )
@@ -75,19 +77,13 @@ def test_radial_integral_shifted_pole_at_zero():
 
 
 def test_radial_integral_two_taylor_terms():
-    mu = LinForm.normalize((1,))
-    v = radial_integral(mu, 0, RadialProfile.on_unit([1, -1]))
+    v = radial_factor(1, (1,), 0, RadialProfile.on_unit([1, -1])) * HALF_I
     scale = QI.of(0, Fraction(-1, 2))
     expected = (
         MeroValue.from_poly(Poly.const(1, scale), [(AffineForm((1,), 1), 1)], 1)
         + MeroValue.from_poly(Poly.const(1, -scale), [(AffineForm((1,), 2), 1)], 1)
     )
     assert v == expected  # pi (1/(mu+1) - 1/(mu+2))
-
-
-def test_radial_integral_rejects_odd_shift():
-    with pytest.raises(ValueError):
-        radial_integral(LinForm.normalize((1,)), 1, RadialProfile.on_unit([1]))
 
 
 def test_exactness_error_for_nonunit_knots():
@@ -190,7 +186,9 @@ def test_blowup_chart_inner_value_at_origin():
     sc = blowup_example()
     v = mellin_exact(sc, "z")
     pair = LinForm.normalize((1, 1, 0))
-    inner = v.mul_poly(pair.as_affine().as_poly()).div_form(AffineForm((1, 0, 0)))
+    inner = v.mul_poly(as_poly(pair.as_affine())) * MeroValue.from_poly(
+        Poly.const(3, QI.one()), [(AffineForm((1, 0, 0)), 1)]
+    )
     assert value_at_origin(inner) == token(-1, 3)
 
 

@@ -13,7 +13,7 @@ from residuelab.merovalue import (
 )
 from residuelab.poly import Poly
 
-from affine_division import divides_affine, divmod_affine
+from affine_division import as_poly, deg_in, divides_affine, divmod_affine
 
 
 def lam(n, j):
@@ -37,7 +37,7 @@ def test_reduce_keeps_nondivisible():
 
 def test_reduce_square():
     pair = AffineForm((1, 1, 0))
-    num = lam(3, 1) * pair.as_poly() * pair.as_poly()
+    num = lam(3, 1) * as_poly(pair) * as_poly(pair)
     v = MeroValue.from_poly(num, [(pair, 2)])
     r = v.reduced()
     assert r.den == ()
@@ -104,9 +104,9 @@ def test_divmod_affine_remainder_is_substitution():
         v = _random_value(rng, n=2)
         form = AffineForm.normalize((1, rng.randint(-2, 2)), rng.randint(-2, 2))
         q, r = divmod_affine(v.num, form)
-        assert (q * form.as_poly() + r) == v.num
-        assert r.deg_in(0) <= 0
-        assert divides_affine(v.num * form.as_poly(), form)
+        assert (q * as_poly(form) + r) == v.num
+        assert deg_in(r, 0) <= 0
+        assert divides_affine(v.num * as_poly(form), form)
 
 
 def test_value_at_origin_and_pole_error():
@@ -168,7 +168,7 @@ def value_st(draw, token=1):
     """num * (some pool forms) / (some pool forms), so that forms often cancel."""
     num = draw(poly_st())
     for f in draw(st.lists(forms_st, max_size=2)):
-        num = num * f.as_poly()
+        num = num * as_poly(f)
     den = [(f, draw(st.integers(1, 2))) for f in draw(st.lists(forms_st, max_size=3))]
     return MeroValue.from_poly(num, den, token)
 
@@ -223,7 +223,7 @@ def test_property_removed_forms_divide_and_kept_forms_do_not(v):
 @given(value_st(), forms_st)
 def test_property_exact_division_matches_reference(v, f):
     """The integer division alone, without the modular filter in front of it."""
-    for num in (v.num, v.num * f.as_poly()):
+    for num in (v.num, v.num * as_poly(f)):
         w = MeroValue.from_poly(num)
         q = _divide(w._terms, f)
         assert (q is not None) == divides_affine(num, f)
@@ -246,7 +246,7 @@ def _den_poly(v):
     out = Poly.const(NV, QI.one())
     for f, m in v.den:
         for _ in range(m):
-            out = out * f.as_poly()
+            out = out * as_poly(f)
     return out
 
 
