@@ -311,7 +311,7 @@ def test_divlemma_input_errors_name_the_field(capsys, tmp_path):
          "alphas-short-row", "alphas-negative", "alphas-string", "alphas-not-list", "psi-term"],
 )
 def test_divlemma_index_and_row_errors_name_the_field(capsys, tmp_path, field, value, message):
-    # K = [0] used to wrap to x3 and pass; [5] and ["a"] used to exit 3
+    # an unchecked K = [0] would read x3 through e[i - 1] and pass
     psi = PolyForm.basis(3, (2,)) + PolyForm.basis(3, (3,), Poly.variable(3, 0, Fraction(1)))
     doc = {"n": 3, "K": [1], "psi": form_to_obj(psi), "alphas": [[0, 3, 0]], field: value}
     path = tmp_path / "forms.json"
