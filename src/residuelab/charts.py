@@ -275,7 +275,10 @@ def parse_scenario(document) -> Scenario:
         flags_obj = c.get("unit_flags", [False] * sig.nfactors)
         if not isinstance(flags_obj, list) or len(flags_obj) != sig.nfactors:
             raise ScenarioError(f"{base}.unit_flags", f"expected {sig.nfactors} booleans")
-        flags = tuple(bool(v) for v in flags_obj)
+        for j, v in enumerate(flags_obj):
+            if not isinstance(v, bool):
+                raise ScenarioError(f"{base}.unit_flags[{j}]", f"expected a boolean, got {v!r}")
+        flags = tuple(flags_obj)
         for ri, row in enumerate(alpha):
             if not any(row) and not flags[ri]:
                 raise ScenarioError(

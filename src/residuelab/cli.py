@@ -344,11 +344,12 @@ def cmd_divlemma(args, report: Report) -> None:
     if "psi" not in obj:
         raise ScenarioError("psi", "missing")
     psi = form_from_obj(obj["psi"], n, "psi")
-    omega = (
-        form_from_obj(obj["omega"], n, "omega")
-        if "omega" in obj
-        else build_interpolant(psi, K)
-    )
+    if "omega" in obj:
+        omega = form_from_obj(obj["omega"], n, "omega")
+        if omega.degree != psi.degree:
+            raise ScenarioError("omega.degree", f"expected psi's degree {psi.degree}, got {omega.degree}")
+    else:
+        omega = build_interpolant(psi, K)
     report.results["omega"] = form_to_obj(omega)
     rep = log_wedge_nonsingular(psi, omega, K)
     for j in sorted(rep):

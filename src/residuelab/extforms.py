@@ -268,7 +268,12 @@ def form_from_obj(obj: dict, nvars: int, path: str = "form") -> PolyForm:
         idx = t.get("idx")
         if not isinstance(idx, list):
             raise ScenarioError(f"{tb}.idx", "expected index list")
+        if len(idx) != degree:
+            raise ScenarioError(f"{tb}.idx", f"expected one index per degree ({degree}), got {len(idx)}")
         idx = [_int(v, f"{tb}.idx[{k}]", 1) for k, v in enumerate(idx)]
+        for k, i in enumerate(idx):
+            if i > nvars:
+                raise ScenarioError(f"{tb}.idx[{k}]", f"expected an index in 1..{nvars}, got {i}")
         monos = t.get("poly", [])
         if not isinstance(monos, list):
             raise ScenarioError(f"{tb}.poly", "expected monomial list")

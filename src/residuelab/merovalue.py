@@ -16,6 +16,12 @@ synthetic division along its pivot variable: the forms are primitive, so by
 Gauss's lemma over Z[i] the quotient of a divisible numerator is integral,
 and a step that leaves Z[i] proves that the form does not divide.
 
+A monomial is keyed by one packed int, exponent j of nvars in bits
+[32*(nvars-1-j), 32*(nvars-j)): multiplying monomials adds keys, and int
+order is the lexicographic order of exponent tuples, so sorted terms come
+out as with tuple keys.  Keys are decoded only in num, to_obj and evaluation.
+from_poly rejects an exponent of 2**32 or more; no product may build one.
+
 reduced() cancels every denominator form dividing the numerator; after
 reduction the representation is canonical (affine forms are irreducible and
 Q(i)[L] has unique factorization), so equality is structural.  A value
@@ -26,23 +32,28 @@ multiplicity in b than in d divides the cross term c*(lcm/d) but not
 a*(lcm/b), so only forms with the same multiplicity in b and d can cancel.
 In a product, a form of one factor's denominator can cancel only against
 the other factor's numerator.
+Evaluation modulo a prime on a form's zero hyperplane rules divisions out
+before they are tried; being a ring homomorphism, it tests a sum on its
+summands, so only the forms that pass are tried on the expanded sum.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import chain
 from math import gcd, lcm
-from operator import add, sub
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from operator import mul
+from struct import Struct, error as StructError
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .gaussian import QI
 from .linform import AffineForm, LinForm
 from .poly import Exponent, Poly
 
-# Gaussian-integer polynomial: exponent tuple -> (re, im), no zero entries.
-Terms = Dict[Exponent, Tuple[int, int]]
+# Gaussian-integer polynomial: packed monomial key -> (re, im), no zero entries.
+Terms = Dict[int, Tuple[int, int]]
 
 
 class MeroError(ValueError):
@@ -117,6 +128,29 @@ class TokenScalar:
 
 
 _PRIME = (1 << 61) - 1
+_BITS = 32
+_MASK = (1 << _BITS) - 1
+
+
+@cache
+def _codec(nvars: int) -> Struct:
+    return Struct(f">{nvars}I")
+
+
+def _key(e: Sequence[int]) -> int:
+    """The packed key of an exponent tuple."""
+    try:
+        return int.from_bytes(_codec(len(e)).pack(*e), "big")
+    except StructError:
+        raise MeroError(f"exponents {tuple(e)} do not fit in {_BITS} bits each") from None
+
+
+def _decoded(items: Iterable[Tuple[int, Tuple[int, int]]],
+             nvars: int) -> Iterator[Tuple[Exponent, Tuple[int, int]]]:
+    """Terms items with each packed key turned back into its exponent tuple, one
+    at a time, so that no second copy of a large numerator is held."""
+    unpack, size = _codec(nvars).unpack, 4 * nvars
+    return ((unpack(e.to_bytes(size, "big")), x) for e, x in items)
 
 
 def _scalar(c) -> Tuple[int, int, int]:
@@ -152,7 +186,7 @@ def _mul(a: Terms, b: Terms) -> Terms:
     get = out.get
     for ea, (ar, ai) in a.items():
         for eb, (br, bi) in b.items():
-            e = tuple(map(add, ea, eb))
+            e = ea + eb
             s = get(e)
             if s is None:
                 out[e] = (ar * br - ai * bi, ar * bi + ai * br)
@@ -167,15 +201,11 @@ def _scale(a: Terms, re: int, im: int = 0) -> Terms:
     return {e: (x * re - y * im, x * im + y * re) for e, (x, y) in a.items()}
 
 
-def _unit(nvars: int, j: int) -> Exponent:
-    return (0,) * j + (1,) + (0,) * (nvars - j - 1)
-
-
-def _form_terms(form: AffineForm, skip: int = -1) -> List[Tuple[Exponent, int]]:
-    """The form's nonzero terms as (exponent, coefficient), leaving out variable `skip`."""
-    out = [(_unit(form.nvars, j), c) for j, c in enumerate(form.coeffs) if c and j != skip]
+def _form_terms(form: AffineForm, skip: int = -1) -> List[Tuple[int, int]]:
+    """The form's nonzero terms as (key, coefficient), leaving out variable `skip`."""
+    out = [(1 << _BITS * (form.nvars - 1 - j), c) for j, c in enumerate(form.coeffs) if c and j != skip]
     if form.const:
-        out.append(((0,) * form.nvars, form.const))
+        out.append((0, form.const))
     return out
 
 
@@ -188,7 +218,7 @@ def _times_forms(terms: Terms, forms: Iterable[Tuple[AffineForm, int]]) -> Terms
             get = out.get
             for e, (re, im) in terms.items():
                 for u, c in fterms:
-                    t = tuple(map(add, e, u))
+                    t = e + u
                     s = get(t)
                     out[t] = (re * c, im * c) if s is None else (s[0] + re * c, s[1] + im * c)
             terms = {e: c for e, c in out.items() if c[0] or c[1]}
@@ -199,34 +229,48 @@ def _pivot(form: AffineForm) -> int:
     return next(j for j, c in enumerate(form.coeffs) if c)
 
 
-def _vanishes(terms: Terms, form: AffineForm) -> bool:
-    """Cheap necessary test: evaluate modulo a large prime at a point of the
-    form's zero hyperplane.
+def _value_mod(terms: Terms, point: Sequence[int]) -> Tuple[int, int]:
+    """The (re, im) value of terms at point, modulo _PRIME."""
+    P = _PRIME
+    items = list(_decoded(terms.items(), len(point)))
+    pows = []
+    for x, top in zip(point, map(max, zip(*(e for e, _ in items)))):
+        row = [1]
+        for _ in range(top):
+            row.append(row[-1] * x % P)
+        pows.append(row)
+    sre = sim = 0
+    for e, (re, im) in items:
+        m = 1
+        for row, k in zip(pows, e):
+            if k:
+                m = m * row[k] % P
+        sre += re * m
+        sim += im * m
+    return sre % P, sim % P
 
-    Divisibility forces a zero value, so a nonzero value rules the division
-    out; a zero value may still be a false positive and callers confirm with
-    the exact division.
+
+def _vanishes(form: AffineForm, *parts: Tuple[Terms, int, Sequence[Tuple[AffineForm, int]]]) -> bool:
+    """Cheap necessary test for form dividing the sum of scale * terms * prod g^k
+    over the parts (terms, scale, [(g, k), ...]): evaluate it modulo a large
+    prime at a point of the form's zero hyperplane, summand by summand.
+    Divisibility forces a zero value; a zero value may still be a false
+    positive, and callers confirm it with the exact division.
     """
     P = _PRIME
     pivot = _pivot(form)
     a = form.coeffs[pivot] % P
     if not a:
         return True  # cannot decide modulo P; let the exact division settle it
-    values = [2 * j + 3 for j in range(form.nvars)]
-    rest = form.const + sum(c * values[j] for j, c in enumerate(form.coeffs) if c and j != pivot)
-    values[pivot] = -rest * pow(a, -1, P) % P
-    pows = []
-    for x, top in zip(values, map(max, zip(*terms))):
-        row = [1]
-        for _ in range(top):
-            row.append(row[-1] * x % P)
-        pows.append(row)
+    pt = [2 * j + 3 for j in range(form.nvars)]
+    rest = form.const + sum(c * pt[j] for j, c in enumerate(form.coeffs) if c and j != pivot)
+    pt[pivot] = -rest * pow(a, -1, P) % P
     sre = sim = 0
-    for e, (re, im) in terms.items():
-        m = 1
-        for row, k in zip(pows, e):
-            if k:
-                m = m * row[k] % P
+    for terms, scale, forms in parts:
+        m = scale % P
+        for g, k in forms:
+            m = m * pow(g.const + sum(map(mul, g.coeffs, pt)), k, P) % P
+        re, im = _value_mod(terms, pt)
         sre += re * m
         sim += im * m
     return sre % P == 0 and sim % P == 0
@@ -242,10 +286,11 @@ def _divide(terms: Terms, form: AffineForm) -> Optional[Terms]:
     pivot = _pivot(form)
     a = form.coeffs[pivot]
     rest = _form_terms(form, pivot)
-    layers: List[Terms] = [{} for _ in range(max(e[pivot] for e in terms) + 1)]
+    shift = _BITS * (form.nvars - 1 - pivot)
+    layers: List[Terms] = [{} for _ in range(max(e >> shift & _MASK for e in terms) + 1)]
     for e, c in terms.items():
-        layers[e[pivot]][e] = c
-    down = _unit(form.nvars, pivot)
+        layers[e >> shift & _MASK][e] = c
+    down = 1 << shift
     quotient: Terms = {}
     for d in range(len(layers) - 1, 0, -1):
         below = layers[d - 1]
@@ -255,10 +300,10 @@ def _divide(terms: Terms, form: AffineForm) -> Optional[Terms]:
             if re % a or im % a:
                 return None
             qr, qi = re // a, im // a
-            qe = tuple(map(sub, e, down))
+            qe = e - down
             quotient[qe] = (qr, qi)
             for u, c in rest:
-                t = tuple(map(add, qe, u))
+                t = qe + u
                 s = below.get(t, (0, 0))
                 below[t] = (s[0] - qr * c, s[1] - qi * c)
     if any(re or im for re, im in layers[0].values()):
@@ -269,7 +314,7 @@ def _divide(terms: Terms, form: AffineForm) -> Optional[Terms]:
 def _cancel(terms: Terms, den: Dict[AffineForm, int], forms: Iterable[AffineForm]) -> Terms:
     """Divide each of `forms` out of terms as often as den allows, lowering den."""
     for f in forms:
-        while den[f] and _vanishes(terms, f):
+        while den[f] and _vanishes(f, (terms, 1, ())):
             q = _divide(terms, f)
             if q is None:
                 break
@@ -325,7 +370,8 @@ class MeroValue:
         if self._num is None:
             c = self._content
             p = Poly(self.nvars)
-            p.terms = {e: QI(Fraction(re, c), Fraction(im, c)) for e, (re, im) in self._terms.items()}
+            terms = _decoded(self._terms.items(), self.nvars)
+            p.terms = {e: QI(Fraction(re, c), Fraction(im, c)) for e, (re, im) in terms}
             self._num = p
         return self._num
 
@@ -338,14 +384,14 @@ class MeroValue:
         re, im, d = _scalar(c)
         if not (re or im):
             return MeroValue.zero(nvars)
-        return MeroValue(nvars, {(0,) * nvars: (re, im)}, d, (), token_pow)
+        return MeroValue(nvars, {0: (re, im)}, d, (), token_pow)
 
     @staticmethod
     def from_poly(num: Poly, den=(), token_pow: int = 0) -> "MeroValue":
         """num / prod form^mult, not yet reduced."""
         parts = {e: _scalar(c) for e, c in num.terms.items()}
         content = lcm(*(d for _, _, d in parts.values()))
-        terms = {e: (re * (content // d), im * (content // d)) for e, (re, im, d) in parts.items()}
+        terms = {_key(e): (re * (content // d), im * (content // d)) for e, (re, im, d) in parts.items()}
         return MeroValue(num.nvars, terms, content, _merge_dens(den), token_pow)
 
     def is_zero(self) -> bool:
@@ -369,12 +415,14 @@ class MeroValue:
             union[f] = max(union.get(f, 0), m)
         ca, cb = a._content, b._content
         g = gcd(ca, cb)
-        na = _times_forms(a._terms, [(f, m - da.get(f, 0)) for f, m in union.items()])
-        nb = _times_forms(b._terms, [(f, m - db.get(f, 0)) for f, m in union.items()])
+        ka = [(f, m - da.get(f, 0)) for f, m in union.items() if m != da.get(f)]
+        kb = [(f, m - db.get(f, 0)) for f, m in union.items() if m != db.get(f)]
+        na, nb = _times_forms(a._terms, ka), _times_forms(b._terms, kb)
         terms, content = _canon(_add(_scale(na, cb // g), _scale(nb, ca // g)), ca // g * cb)
         if not terms:
             return MeroValue.zero(self.nvars)
-        same = [f for f, m in da.items() if db.get(f) == m]
+        pa, pb = (a._terms, cb // g, ka), (b._terms, ca // g, kb)
+        same = [f for f, m in da.items() if db.get(f) == m and _vanishes(f, pa, pb)]
         return MeroValue._canonical(self.nvars, terms, content, union, self.token_pow, same)
 
     def __neg__(self) -> "MeroValue":
@@ -436,13 +484,14 @@ class MeroValue:
         if blocking:
             raise PoleAtPointError(blocking)
         # x_j = a_j / b_j: sum the numerator times prod b_j^top_j in integers
-        tops = [max((e[j] for e in self._terms), default=0) for j in range(self.nvars)]
+        terms = list(_decoded(self._terms.items(), self.nvars))
+        tops = [max((e[j] for e, _ in terms), default=0) for j in range(self.nvars)]
         pows = [
             [x.numerator**k * x.denominator ** (top - k) for k in range(top + 1)]
             for x, top in zip(point, tops)
         ]
         sre = sim = 0
-        for e, (re, im) in self._terms.items():
+        for e, (re, im) in terms:
             m = 1
             for row, k in zip(pows, e):
                 m *= row[k]
@@ -462,7 +511,7 @@ class MeroValue:
         tok = 2j * math.pi
         c = self._content
         num = 0j
-        for e, (re, im) in sorted(self._terms.items()):
+        for e, (re, im) in _decoded(sorted(self._terms.items()), self.nvars):
             v = complex(re / c) + 1j * complex(im / c)
             for j, k in enumerate(e):
                 if k:
@@ -517,7 +566,7 @@ class MeroValue:
         c = self._content
         num = [
             {"exps": list(e), "re": _frac_obj(re, c), "im": _frac_obj(im, c)}
-            for e, (re, im) in sorted(self._terms.items())
+            for e, (re, im) in _decoded(sorted(self._terms.items()), self.nvars)
         ]
         den = [
             {"coeffs": list(f.coeffs), "const": f.const, "mult": m} for f, m in self.den

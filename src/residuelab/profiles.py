@@ -212,10 +212,16 @@ class RadialProfile:
 
         if not isinstance(obj, dict) or "knots" not in obj or "pieces" not in obj:
             raise ScenarioError(path, "expected {knots, pieces}")
-        knots = [_rational(v, f"{path}.knots[{i}]") for i, v in enumerate(obj["knots"])]
+
+        def listed(v, where: str) -> list:
+            if not isinstance(v, list):
+                raise ScenarioError(f"{path}.{where}", f"expected a list, got {v!r}")
+            return v
+
+        knots = [_rational(v, f"{path}.knots[{i}]") for i, v in enumerate(listed(obj["knots"], "knots"))]
         pieces = [
-            tuple(_rational(c, f"{path}.pieces[{i}][{j}]") for j, c in enumerate(p))
-            for i, p in enumerate(obj["pieces"])
+            tuple(_rational(c, f"{path}.pieces[{i}][{j}]") for j, c in enumerate(listed(p, f"pieces[{i}]")))
+            for i, p in enumerate(listed(obj["pieces"], "pieces"))
         ]
         try:
             return RadialProfile(tuple(knots), tuple(pieces))

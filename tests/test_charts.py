@@ -76,6 +76,35 @@ def test_parse_non_object_coeff_path(coeff):
     assert err.value.path == "testforms['z'].terms[0].coeff"
 
 
+@pytest.mark.parametrize(
+    "field, value, path",
+    [
+        ("pieces", [5], "rho.pieces[0]"),
+        ("pieces", 5, "rho.pieces"),
+        ("knots", 5, "rho.knots"),
+    ],
+)
+def test_parse_profile_lists_name_the_field(field, value, path):
+    doc = blowup_example().to_obj()
+    doc["testforms"]["z"]["terms"][0]["factors"][0]["rho"][field] = value
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(doc)
+    assert err.value.path == "testforms['z'].terms[0].factors[0]." + path
+    assert "expected a list" in err.value.message
+
+
+@pytest.mark.parametrize("flags", [["a", False, False], [1, 0, 0], [True, None, False]])
+def test_parse_unit_flags_must_be_booleans(flags):
+    doc = blowup_example().to_obj()
+    doc["charts"][0]["unit_flags"] = flags
+    bad = next(j for j, v in enumerate(flags) if not isinstance(v, bool))
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(doc)
+    assert err.value.path == f"charts[0].unit_flags[{bad}]"
+    doc["charts"][0]["unit_flags"] = [True, False, False]
+    assert parse_scenario(doc).charts[0].unit_flags == (True, False, False)
+
+
 def test_zero_alpha_row_needs_unit_flag():
     bad = {
         "signature": {"n": 2, "p": 1, "q": 0, "N": 1},

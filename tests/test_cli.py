@@ -306,9 +306,14 @@ def test_divlemma_input_errors_name_the_field(capsys, tmp_path):
         ("alphas", [[0, 1, 0], [0, "a", 1]], "alphas[1][1]: expected integer, got 'a'"),
         ("alphas", 3, "alphas: expected a list of exponent rows"),
         ("psi", {"degree": 0, "terms": ["x"]}, "psi.terms[0]: expected object"),
+        ("psi", {"degree": 1, "terms": [{"idx": [4]}]}, "psi.terms[0].idx[0]: expected an index in 1..3, got 4"),
+        ("psi", {"degree": 1, "terms": [{"idx": [1, 2]}]},
+         "psi.terms[0].idx: expected one index per degree (1), got 2"),
+        ("omega", {"degree": 2, "terms": []}, "omega.degree: expected psi's degree 1, got 2"),
     ],
     ids=["K-zero", "K-above-n", "K-string", "K-repeated", "K-not-list", "alphas-zero-row",
-         "alphas-short-row", "alphas-negative", "alphas-string", "alphas-not-list", "psi-term"],
+         "alphas-short-row", "alphas-negative", "alphas-string", "alphas-not-list", "psi-term",
+         "psi-index-above-n", "psi-index-count", "omega-degree"],
 )
 def test_divlemma_index_and_row_errors_name_the_field(capsys, tmp_path, field, value, message):
     # an unchecked K = [0] would read x3 through e[i - 1] and pass

@@ -7,9 +7,12 @@ from hypothesis import assume, given, settings, strategies as st
 from residuelab import AffineForm, LinForm, MeroValue, QI
 from residuelab.merovalue import (
     HigherOrderPoleError,
+    MeroError,
     PoleAtOriginError,
     TokenPowerError,
+    _decoded,
     _divide,
+    _key,
 )
 from residuelab.poly import Poly
 
@@ -242,21 +245,80 @@ def test_property_eval_rational_is_a_homomorphism(a, b, pt):
     assert prod.power == (x.power + y.power if prod.coeff else 0)
 
 
-def _den_poly(v):
-    out = Poly.const(NV, QI.one())
-    for f, m in v.den:
+def _times(num, den):
+    """num * prod f^m over den."""
+    for f, m in den:
         for _ in range(m):
-            out = out * as_poly(f)
-    return out
+            num = num * as_poly(f)
+    return num
 
 
 @SETTINGS
 @given(value_st(), value_st())
 def test_property_eager_and_deferred_reduction_agree(a, b):
     deferred_sum = MeroValue.from_poly(
-        a.num * _den_poly(b) + b.num * _den_poly(a), a.den + b.den, a.token_pow
+        _times(a.num, b.den) + _times(b.num, a.den), a.den + b.den, a.token_pow
     ).reduced()
     deferred_product = MeroValue.from_poly(a.num * b.num, a.den + b.den, 2).reduced()
     for eager, deferred in ((a + b, deferred_sum), (a * b, deferred_product)):
         assert eager.to_obj() == deferred.to_obj()
         assert eager == deferred and hash(eager) == hash(deferred)
+
+
+@SETTINGS
+@given(value_st(), value_st(), st.booleans())
+def test_property_sum_matches_the_expanded_sum_over_the_union(a, c, cancel):
+    """With `cancel`, b is c - a written over a.den + c.den, so that forms of a
+    with the same multiplicity in b must cancel out of the sum again."""
+    a = a.reduced()
+    if cancel:
+        b = MeroValue.from_poly(_times(c.num, a.den) - _times(a.num, c.den), a.den + c.den, 1).reduced()
+    else:
+        b = c.reduced()
+    da, db = dict(a.den), dict(b.den)
+    union = {f: max(da.get(f, 0), db.get(f, 0)) for f in {**da, **db}}
+    expanded = _times(a.num, [(f, m - da.get(f, 0)) for f, m in union.items()]) + _times(
+        b.num, [(f, m - db.get(f, 0)) for f, m in union.items()]
+    )
+    assert (a + b).to_obj() == MeroValue.from_poly(expanded, list(union.items()), 1).reduced().to_obj()
+    if cancel:
+        assert a + b == c
+
+
+@pytest.mark.parametrize("extra", [None, AffineForm.normalize((0, 1), 3)])
+def test_sum_cancels_a_shared_form_of_equal_multiplicity(extra):
+    """p/f + (f*q - p*g)/(f*g) == q/g, with g = 1 and with g = L2 + 3."""
+    f = AffineForm.normalize((1, 2), 1)
+    p = lam(2, 1) * lam(2, 1) + Poly.const(2, QI.of(5))
+    q = lam(2, 2) + Poly.const(2, QI.one())
+    g = [(extra, 1)] if extra else []
+    a = MeroValue.from_poly(p, [(f, 1)]).reduced()
+    b = MeroValue.from_poly(as_poly(f) * q - _times(p, g), [(f, 1)] + g).reduced()
+    assert a.den == ((f, 1),) and len(b.den) == 1 + len(g)
+    want = MeroValue.from_poly(q, g).reduced()
+    assert want.den == tuple(g)
+    assert (a + b).to_obj() == (b + a).to_obj() == want.to_obj()
+
+
+exps_st = st.integers(1, 8).flatmap(
+    lambda n: st.lists(
+        st.tuples(*[st.one_of(st.integers(0, 3), st.integers(0, 2**32 - 1))] * n), min_size=1, max_size=8
+    )
+)
+
+
+@SETTINGS
+@given(exps_st)
+def test_property_packed_keys_round_trip_in_lexicographic_order(exps):
+    n = len(exps[0])
+    keys = [_key(e) for e in exps]
+    assert [e for e, _ in _decoded([(k, 0) for k in keys], n)] == exps
+    assert [e for e, _ in _decoded([(k, 0) for k in sorted(keys)], n)] == sorted(exps)
+
+
+@pytest.mark.parametrize("e", [(2**32,), (0, -1), (1, 2**40, 0)])
+def test_key_rejects_exponents_that_do_not_fit(e):
+    with pytest.raises(MeroError):
+        _key(e)
+    with pytest.raises(MeroError):
+        MeroValue.from_poly(Poly.monomial(len(e), e, QI.one()))
