@@ -19,6 +19,7 @@ from pathlib import Path
 from typing import List, Optional, Sequence
 
 from .charts import (
+    ChartSpec,
     Scenario,
     ScenarioError,
     _int,
@@ -42,9 +43,9 @@ from .leibniz import (
     global_certificate,
     shape_violations,
 )
-from .linform import LinForm
-from .mellin import mellin_exact, mellin_quadrature, residue_on, value_at_origin
-from .merovalue import MeroValue, PoleAtOriginError, TokenScalar
+from .linform import AffineForm
+from .mellin import chart_sum, mellin_exact, mellin_quadrature, residue_on, value_at_origin
+from .merovalue import PoleAtOriginError, TokenScalar
 from .profiles import ExactnessError
 from .tubes import (
     AdmissiblePath,
@@ -135,7 +136,15 @@ def _fractions(text: str, flag: str, count: Optional[int] = None) -> List[Fracti
     return values
 
 
-def _form(text: str, flag: str, count: int) -> LinForm:
+def _chart(scenario: Scenario, name: Optional[str], flag: str = "--chart") -> ChartSpec:
+    """The chart the flag names, the first chart when it names none."""
+    try:
+        return scenario.chart(name or scenario.charts[0].name)
+    except KeyError:
+        raise ScenarioError(flag, f"no chart named {name!r}") from None
+
+
+def _form(text: str, flag: str, count: int) -> AffineForm:
     try:
         values = [int(tok.strip()) for tok in text.split(",") if tok.strip()]
     except ValueError:
@@ -144,7 +153,7 @@ def _form(text: str, flag: str, count: int) -> LinForm:
         raise ScenarioError(flag, f"expected {count} values")
     if not any(values):
         raise ScenarioError(flag, "expected a nonzero vector")
-    return LinForm.normalize(values)
+    return AffineForm.normalize(values)
 
 
 def _cert_obj(cert) -> dict:
@@ -205,15 +214,15 @@ def cmd_poles(args, report: Report) -> None:
 def cmd_eval(args, report: Report) -> None:
     scenario, inputs = _load_scenario(args.scenario)
     report.inputs.update(inputs)
-    name = args.chart or scenario.charts[0].name
+    chart = _chart(scenario, args.chart)
     lam = _fractions(args.lam, "--lam", scenario.signature.nfactors)
-    value = mellin_exact(scenario, name)
+    value = mellin_exact(scenario, chart)
     report.results["exact"] = value.to_obj()
     report.results["exact_pretty"] = str(value)
     point = value.eval_rational(lam)
     report.results["exact_at_point"] = _token_obj(point)
     if all(x >= 2 for x in lam) and scenario.signature.n <= 3:
-        quad = mellin_quadrature(scenario, name, [complex(x) for x in lam])
+        quad = mellin_quadrature(scenario, chart, [complex(x) for x in lam])
         ref = point.as_complex()
         rel = abs(quad.value - ref) / max(abs(ref), 1e-300)
         report.results["quadrature"] = _complex_obj(quad.value)
@@ -225,10 +234,7 @@ def cmd_eval(args, report: Report) -> None:
 def cmd_global(args, report: Report) -> None:
     scenario, inputs = _load_scenario(args.scenario)
     report.inputs.update(inputs)
-    total = MeroValue.zero(scenario.signature.nfactors)
-    for chart in scenario.charts:
-        total = total + mellin_exact(scenario, chart)
-    total = total.reduced()
+    total, _ = chart_sum(scenario)
     report.results["value"] = total.to_obj()
     report.results["value_pretty"] = str(total)
     forms = sorted(total.hyperplane_forms(), key=lambda f: f.sort_key())
@@ -248,9 +254,7 @@ def cmd_residue(args, report: Report) -> None:
         raise ScenarioError("--point", "not on the --form hyperplane")
     total = QI.zero()
     power = 0
-    for chart in scenario.charts:
-        if args.chart and chart.name != args.chart:
-            continue
+    for chart in [_chart(scenario, args.chart)] if args.chart else scenario.charts:
         v = mellin_exact(scenario, chart)
         r = residue_on(form, v, point)
         report.results[f"residue:{chart.name}"] = _token_obj(r)
@@ -265,9 +269,8 @@ def cmd_residue(args, report: Report) -> None:
 def cmd_tube(args, report: Report) -> None:
     scenario, inputs = _load_scenario(args.scenario)
     report.inputs.update(inputs)
-    name = args.chart or scenario.charts[0].name
-    chart = scenario.chart(name)
-    testform = scenario.testform(name)
+    chart = _chart(scenario, args.chart)
+    testform = scenario.testform(chart.name)
     count = scenario.signature.nfactors
     eps = _fractions(args.eps, "--eps", count) if args.eps else [Fraction(1, 100)] * count
     if any(e <= 0 for e in eps):
@@ -284,7 +287,7 @@ def cmd_tube(args, report: Report) -> None:
     report.results["admissible_limit"] = _complex_obj(limit.value)
     report.results["limit_error"] = limit.error
     report.verdict("limit-converged", limit.converged, value=limit.error, tolerance=args.tol)
-    value = mellin_exact(scenario, chart).reduced()
+    value = mellin_exact(scenario, chart)
     if not value.hyperplane_forms():
         ref = value_at_origin(value).as_complex()
         rel = abs(limit.value - ref) / max(abs(ref), 1e-300)
@@ -295,9 +298,8 @@ def cmd_tube(args, report: Report) -> None:
 def cmd_mellin_check(args, report: Report) -> None:
     scenario, inputs = _load_scenario(args.scenario)
     report.inputs.update(inputs)
-    name = args.chart or scenario.charts[0].name
-    chart = scenario.chart(name)
-    testform = scenario.testform(name)
+    chart = _chart(scenario, args.chart)
+    testform = scenario.testform(chart.name)
     eps = [Fraction(1, 100)] * scenario.signature.nfactors
     spec = tube_spec_from_chart(chart, eps)
     lambdas = [_fractions(tok, "--lam", scenario.signature.nfactors) for tok in args.lam]
@@ -367,14 +369,15 @@ def cmd_deduce(args, report: Report) -> None:
 
 
 def cmd_example3(args, report: Report) -> None:
+    if args.profile_degree < 1:
+        raise ScenarioError("--profile-degree", "must be >= 1 so profiles vanish at the support edge")
     scenario = blowup_example(args.profile_degree, args.seed)
     if args.drop_chart:
-        scenario = scenario.without_chart(args.drop_chart)
+        scenario = scenario.without_chart(_chart(scenario, args.drop_chart, "--drop-chart").name)
     report.inputs["profile_degree"] = args.profile_degree
     report.inputs["seed"] = args.seed
     report.inputs["charts"] = [c.name for c in scenario.charts]
-    p = scenario.signature.p
-    pair = LinForm.normalize((1, 1, 0))
+    pair = AffineForm.normalize((1, 1, 0))
 
     for chart in scenario.charts:
         cert = chart_certificate(chart)
@@ -382,33 +385,19 @@ def cmd_example3(args, report: Report) -> None:
         report.verdict(f"chart-poles-on-pair-hyperplane:{chart.name}", cert.forms == frozenset({pair}))
 
     point = (Fraction(1, 3), Fraction(-1, 3), Fraction(1, 5))
+    total, values = chart_sum(scenario)
     residue_total = QI.zero()
-    values = {}
-    for chart in scenario.charts:
-        v = mellin_exact(scenario, chart)
-        values[chart.name] = v
+    for name, v in values.items():
         r = residue_on(pair, v, point)
-        report.results[f"residue:{chart.name}"] = _token_obj(r)
+        report.results[f"residue:{name}"] = _token_obj(r)
         residue_total = residue_total + r.coeff
     report.verdict("cross-chart-residues-cancel", not residue_total, value=str(residue_total))
 
-    total = MeroValue.zero(scenario.signature.nfactors)
-    for v in values.values():
-        total = total + v
-    total = total.reduced()
     forms = sorted(total.hyperplane_forms(), key=lambda f: f.sort_key())
     analytic = not forms
     report.verdict("global-analytic-at-origin", analytic, value=[str(f) for f in forms] or "yes")
 
-    profiles = None
-    if args.seed is not None or args.profile_degree != 2:
-        from .charts import example_profiles
-
-        profiles = example_profiles(args.profile_degree, args.seed)
-    reference = mellin_exact(
-        blowup_parts(args.profile_degree, args.seed, profiles),
-        "parts",
-    )
+    reference = mellin_exact(blowup_parts(args.profile_degree, args.seed), "parts")
     if analytic:
         got = value_at_origin(total)
         want = value_at_origin(reference)

@@ -16,7 +16,7 @@ from itertools import combinations
 from typing import Dict, List, Sequence, Tuple
 
 from .charts import ChartSpec, Scenario
-from .linform import LinForm
+from .linform import AffineForm
 
 
 class ResonantUnitsError(ValueError):
@@ -44,7 +44,7 @@ class PoleCertificate:
     scope: str
     halfspace: HalfSpaceCert
 
-    def sorted_forms(self) -> Tuple[LinForm, ...]:
+    def sorted_forms(self) -> Tuple[AffineForm, ...]:
         return tuple(sorted(self.forms, key=lambda f: f.sort_key()))
 
 
@@ -53,9 +53,9 @@ class MeroTerm:
     subset: Tuple[int, ...]
     det: int
     numerator_axes: Tuple[int, ...]
-    denominators: Tuple[LinForm, ...]
+    denominators: Tuple[AffineForm, ...]
     dbar_profile: Tuple[int, ...]
-    cancelled: Tuple[Tuple[int, LinForm], ...] = ()
+    cancelled: Tuple[Tuple[int, AffineForm], ...] = ()
 
 
 def rank_basis(alpha: Sequence[Sequence[int]]) -> Tuple[int, List[int]]:
@@ -138,13 +138,13 @@ def expand(chart: ChartSpec) -> List[MeroTerm]:
         if det == 0:
             continue
         axes = list(range(1, p + 1))
-        denominators: List[LinForm] = []
-        cancelled: List[Tuple[int, LinForm]] = []
+        denominators: List[AffineForm] = []
+        cancelled: List[Tuple[int, AffineForm]] = []
         seen_axis: Dict[int, int] = {}
         for i in cols:
             if i in K:
                 continue
-            form = LinForm.normalize(chart.column(i))
+            form = AffineForm.normalize(chart.column(i))
             t = form.axis_index()
             if t is not None:
                 seen_axis[t] = seen_axis.get(t, 0) + 1
@@ -191,26 +191,19 @@ def chart_certificate(chart: ChartSpec) -> PoleCertificate:
 
 def global_certificate(scenario: Scenario) -> PoleCertificate:
     """Hyperplane forms that actually survive in the exact chart sum."""
-    from .mellin import mellin_exact
+    from .mellin import chart_sum
 
-    total = None
-    eps = None
-    for chart in scenario.charts:
-        v = mellin_exact(scenario, chart)
-        total = v if total is None else total + v
-        w = halfspace_width(chart)
-        eps = w if eps is None else min(eps, w)
-    if total is None:
+    if not scenario.charts:
         raise ValueError("scenario has no charts")
-    forms = total.reduced().hyperplane_forms()
+    total, _ = chart_sum(scenario)
     return PoleCertificate(
-        forms=forms,
+        forms=total.hyperplane_forms(),
         scope="global",
-        halfspace=HalfSpaceCert(eps),
+        halfspace=HalfSpaceCert(min(halfspace_width(chart) for chart in scenario.charts)),
     )
 
 
-def shape_violations(cert: PoleCertificate, p: int) -> List[LinForm]:
+def shape_violations(cert: PoleCertificate, p: int) -> List[AffineForm]:
     """Certificate forms that fail to pair at least two of the first p parameters."""
     return [
         f

@@ -1,8 +1,8 @@
-"""Integer linear and affine forms in the continuation parameters.
+"""Integer affine forms in the continuation parameters.
 
-A LinForm is a normalized homogeneous integer form c_1*L1 + ... + c_m*Lm;
-these are the currency of pole hyperplanes through the origin.  AffineForm
-adds an integer constant and carries shifted pole hyperplanes such as L1+2.
+An AffineForm c_1*L1 + ... + c_m*Lm + c_0 carries a pole hyperplane or a
+denominator factor, such as L1+2.  A homogeneous form (c_0 = 0) is a pole
+hyperplane through the origin; LinForm names that case and is the same class.
 Normalization: content 1 and first nonzero coefficient positive, so each
 hyperplane has exactly one representative.
 """
@@ -34,54 +34,13 @@ def _normalized(coeffs: Sequence[int], const: int = 0) -> Tuple[Tuple[int, ...],
 
 
 @dataclass(frozen=True)
-class LinForm:
-    coeffs: Tuple[int, ...]
-
-    @staticmethod
-    def normalize(raw: Sequence[int]) -> "LinForm":
-        """Unique primitive representative with positive leading coefficient."""
-        vec, _, _ = _normalized(raw, 0)
-        return LinForm(vec)
-
-    @property
-    def nvars(self) -> int:
-        return len(self.coeffs)
-
-    def support(self) -> frozenset:
-        """1-based indices of the variables appearing in the form."""
-        return frozenset(j + 1 for j, c in enumerate(self.coeffs) if c)
-
-    def axis_index(self) -> Optional[int]:
-        """1-based index i when the form is the unit axis form for L_i, else None."""
-        hits = [(j, c) for j, c in enumerate(self.coeffs) if c]
-        if len(hits) == 1 and hits[0][1] == 1:
-            return hits[0][0] + 1
-        return None
-
-    def eval(self, values: Sequence):
-        total = 0
-        for c, v in zip(self.coeffs, values):
-            if c:
-                total = total + c * v
-        return total
-
-    def as_affine(self, const: int = 0) -> "AffineForm":
-        return AffineForm(self.coeffs, const)
-
-    def __str__(self) -> str:
-        return _form_str(self.coeffs, 0)
-
-    def sort_key(self):
-        return self.coeffs
-
-
-@dataclass(frozen=True)
 class AffineForm:
     coeffs: Tuple[int, ...]
     const: int = 0
 
     @staticmethod
     def normalize(raw: Sequence[int], const: int = 0) -> "AffineForm":
+        """Unique primitive representative with positive leading coefficient."""
         vec, c0, _ = _normalized(raw, const)
         return AffineForm(vec, c0)
 
@@ -92,8 +51,16 @@ class AffineForm:
     def is_homogeneous(self) -> bool:
         return self.const == 0
 
-    def linear_part(self) -> LinForm:
-        return LinForm.normalize(self.coeffs)
+    def support(self) -> frozenset:
+        """1-based indices of the variables appearing in the form."""
+        return frozenset(j + 1 for j, c in enumerate(self.coeffs) if c)
+
+    def axis_index(self) -> Optional[int]:
+        """1-based index i when the form is the unit axis form for L_i, else None."""
+        hits = [(j, c) for j, c in enumerate(self.coeffs) if c]
+        if len(hits) == 1 and hits[0][1] == 1 and not self.const:
+            return hits[0][0] + 1
+        return None
 
     def eval(self, values: Sequence):
         total = self.const
@@ -106,30 +73,29 @@ class AffineForm:
         return complex(self.const) + sum(c * v for c, v in zip(self.coeffs, values) if c)
 
     def __str__(self) -> str:
-        return _form_str(self.coeffs, self.const)
+        parts = []
+        for j, c in enumerate(self.coeffs):
+            if not c:
+                continue
+            name = f"L{j + 1}"
+            if c == 1:
+                parts.append(("+", name))
+            elif c == -1:
+                parts.append(("-", name))
+            else:
+                parts.append(("+" if c > 0 else "-", f"{abs(c)}*{name}"))
+        if self.const:
+            parts.append(("+" if self.const > 0 else "-", str(abs(self.const))))
+        if not parts:
+            return "0"
+        first_sign, first = parts[0]
+        out = ("-" if first_sign == "-" else "") + first
+        for sign, txt in parts[1:]:
+            out += sign + txt
+        return out
 
     def sort_key(self):
         return (self.coeffs, self.const)
 
 
-def _form_str(coeffs: Sequence[int], const: int) -> str:
-    parts = []
-    for j, c in enumerate(coeffs):
-        if not c:
-            continue
-        name = f"L{j + 1}"
-        if c == 1:
-            parts.append(("+", name))
-        elif c == -1:
-            parts.append(("-", name))
-        else:
-            parts.append(("+" if c > 0 else "-", f"{abs(c)}*{name}"))
-    if const:
-        parts.append(("+" if const > 0 else "-", str(abs(const))))
-    if not parts:
-        return "0"
-    first_sign, first = parts[0]
-    out = ("-" if first_sign == "-" else "") + first
-    for sign, txt in parts[1:]:
-        out += sign + txt
-    return out
+LinForm = AffineForm

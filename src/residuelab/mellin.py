@@ -12,12 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Sequence, Tuple, Union
+from typing import Dict, Optional, Sequence, Tuple, Union
 
 from .charts import ChartSpec, Factor, Scenario, SeparableTestForm
 from .gaussian import QI
 from .leibniz import check_units, subset_determinant
-from .linform import AffineForm, LinForm, _normalized
+from .linform import AffineForm, _normalized
 from .merovalue import MeroValue, TokenScalar
 from .orientation import dbar_front_sign
 from .poly import Poly
@@ -144,11 +144,21 @@ def mellin_exact(scenario: Scenario, chart: Union[ChartSpec, str]) -> MeroValue:
     return result.reduced()
 
 
+def chart_sum(scenario: Scenario) -> Tuple[MeroValue, Dict[str, MeroValue]]:
+    """The continued integral, the reduced sum of the charts' exact values,
+    and those values by chart name."""
+    values = {chart.name: mellin_exact(scenario, chart) for chart in scenario.charts}
+    total = MeroValue.zero(scenario.signature.nfactors)
+    for v in values.values():
+        total = total + v
+    return total.reduced(), values
+
+
 def value_at_origin(v: MeroValue) -> TokenScalar:
     return v.value_at_origin()
 
 
-def residue_on(form: LinForm, v: MeroValue, point: Sequence[Fraction]) -> TokenScalar:
+def residue_on(form: AffineForm, v: MeroValue, point: Sequence[Fraction]) -> TokenScalar:
     return v.residue_on(form, point)
 
 
@@ -157,7 +167,7 @@ def extreme_pole(v: MeroValue) -> Optional[Fraction]:
     v = v.reduced()
     if v.nvars != 1:
         raise ValueError("extreme_pole expects a one-parameter value")
-    roots = [Fraction(-f.const, f.coeffs[0]) for f, _ in v.denominator_forms()]
+    roots = [Fraction(-f.const, f.coeffs[0]) for f, _ in v.den]
     return max(roots) if roots else None
 
 

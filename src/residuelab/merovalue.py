@@ -49,7 +49,7 @@ from struct import Struct, error as StructError
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .gaussian import QI
-from .linform import AffineForm, LinForm
+from .linform import AffineForm
 from .poly import Exponent, Poly
 
 # Gaussian-integer polynomial: packed monomial key -> (re, im), no zero entries.
@@ -471,12 +471,9 @@ class MeroValue:
         den = dict(self.den)
         return MeroValue._canonical(self.nvars, self._terms, self._content, den, self.token_pow, list(den))
 
-    def denominator_forms(self) -> Tuple[Tuple[AffineForm, int], ...]:
-        return self.den
-
     def hyperplane_forms(self) -> frozenset:
         """Normalized homogeneous denominator forms (pole hyperplanes through 0)."""
-        return frozenset(f.linear_part() for f, _ in self.den if f.is_homogeneous())
+        return frozenset(AffineForm.normalize(f.coeffs) for f, _ in self.den if f.is_homogeneous())
 
     def eval_rational(self, point: Sequence[Fraction]) -> TokenScalar:
         point = tuple(Fraction(v) for v in point)
@@ -529,19 +526,18 @@ class MeroValue:
             raise PoleAtOriginError(offending)
         return v.eval_rational((Fraction(0),) * v.nvars)
 
-    def residue_on(self, form: LinForm, point: Sequence[Fraction]) -> TokenScalar:
+    def residue_on(self, form: AffineForm, point: Sequence[Fraction]) -> TokenScalar:
         """Exact simple-pole coefficient: (form * value) evaluated on the hyperplane."""
         v = self.reduced()
         point = tuple(Fraction(x) for x in point)
-        target = form.as_affine(0)
-        mult = dict(v.den).get(target, 0)
+        mult = dict(v.den).get(form, 0)
         if mult == 0:
             return TokenScalar(QI.zero(), 0)
         if mult > 1:
             raise HigherOrderPoleError(form, mult)
         if form.eval(point) != 0:
             raise MeroError(f"point is not on the hyperplane {form}=0")
-        rest = [(f, m) for f, m in v.den if f != target]
+        rest = [(f, m) for f, m in v.den if f != form]
         blocking = [f for f, _ in rest if f.eval(point) == 0]
         if blocking:
             raise PoleAtPointError(blocking)

@@ -15,15 +15,11 @@ from functools import cached_property
 from math import lcm
 from typing import Sequence, Tuple
 
+from .gaussian import _frac
+
 
 class ExactnessError(ValueError):
     """Profile not in the exactly integrable class (knots must be 0 and 1)."""
-
-
-def _fr(x) -> Fraction:
-    if isinstance(x, (Fraction, int)):
-        return Fraction(x)
-    raise TypeError(f"expected exact rational, got {x!r}")
 
 
 def _float_comparable(k: Fraction):
@@ -61,8 +57,8 @@ class RadialProfile:
     pieces: Tuple[Tuple[Fraction, ...], ...]
 
     def __post_init__(self):
-        knots = tuple(_fr(k) for k in self.knots)
-        pieces = tuple(tuple(_fr(c) for c in p) for p in self.pieces)
+        knots = tuple(_frac(k) for k in self.knots)
+        pieces = tuple(tuple(_frac(c) for c in p) for p in self.pieces)
         if knots:
             if len(pieces) != len(knots) - 1:
                 raise ValueError("need one polynomial piece per knot interval")
@@ -82,7 +78,7 @@ class RadialProfile:
     @staticmethod
     def on_unit(coeffs: Sequence) -> "RadialProfile":
         """Polynomial with the given coefficients (constant first) on [0, 1]."""
-        cs = tuple(_fr(c) for c in coeffs)
+        cs = tuple(_frac(c) for c in coeffs)
         while cs and cs[-1] == 0:
             cs = cs[:-1]
         if not cs:
@@ -164,7 +160,7 @@ class RadialProfile:
 
     def mul_poly(self, coeffs: Sequence) -> "RadialProfile":
         """Multiply by a polynomial in t (coefficients constant-first)."""
-        cs = [_fr(c) for c in coeffs]
+        cs = [_frac(c) for c in coeffs]
         if self.is_zero() or not any(cs):
             return RadialProfile.zero()
         pieces = []

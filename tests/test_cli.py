@@ -281,6 +281,30 @@ def test_mellin_check_lam_below_2_names_the_flag(capsys, diagonal_file):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("residue", "{blowup}", "--form", "1,1,0", "--point", "1/3,-1/3,1/5", "--chart", "nope"),
+         "--chart: no chart named 'nope'"),
+        (("eval", "{blowup}", "--lam", "1,1,1", "--chart", "nope"), "--chart: no chart named 'nope'"),
+        (("tube", "{diagonal}", "--chart", "nope"), "--chart: no chart named 'nope'"),
+        (("mellin-check", "{diagonal}", "--lam", "3,3", "--chart", "nope"), "--chart: no chart named 'nope'"),
+        (("example3", "--drop-chart", "nope"), "--drop-chart: no chart named 'nope'"),
+        (("example3", "--profile-degree", "0"),
+         "--profile-degree: must be >= 1 so profiles vanish at the support edge"),
+    ],
+    ids=["residue", "eval", "tube", "mellin-check", "example3-drop-chart", "example3-profile-degree"],
+)
+def test_chart_and_profile_flag_errors_name_the_flag(capsys, blowup_file, diagonal_file, argv, message):
+    # an unknown name must not let residue skip every chart and pass with no
+    # verdicts and a zero residue sum
+    argv = [a.format(blowup=blowup_file, diagonal=diagonal_file) for a in argv]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
 def test_divlemma_input_errors_name_the_field(capsys, tmp_path):
     no_psi = tmp_path / "no_psi.json"
     no_psi.write_text(json.dumps({"n": 3, "K": [1]}))
@@ -361,10 +385,10 @@ def test_stalled_deduction_exits_3(capsys, monkeypatch):
 
 
 def test_engine_fault_exits_3_without_traceback(capsys, monkeypatch, blowup_file):
-    def broken(scenario, chart):
+    def broken(scenario):
         raise RuntimeError("engine fault")
 
-    monkeypatch.setattr(cli, "mellin_exact", broken)
+    monkeypatch.setattr(cli, "chart_sum", broken)
     assert main(["global", blowup_file]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""

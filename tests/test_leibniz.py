@@ -6,6 +6,7 @@ import pytest
 from residuelab import (
     ChartSpec,
     LinForm,
+    MeroValue,
     ProblemSignature,
     ResonantUnitsError,
     Scenario,
@@ -17,6 +18,7 @@ from residuelab import (
     rank_basis,
 )
 from residuelab.leibniz import halfspace_width, shape_violations
+from residuelab.mellin import chart_sum
 
 from corpus import absorbing_testform, random_chart, random_chart_scenario
 
@@ -88,6 +90,19 @@ def test_global_certificate_blowup():
     assert global_certificate(sc).forms == frozenset()
     dropped = sc.without_chart("zeta")
     assert global_certificate(dropped).forms == frozenset({LinForm.normalize((1, 1, 0))})
+
+
+@pytest.mark.parametrize("drop", [None, "zeta"])
+def test_global_certificate_forms_are_the_chart_sum_poles(drop):
+    sc = blowup_example()
+    if drop:
+        sc = sc.without_chart(drop)
+    total = MeroValue.zero(sc.signature.nfactors)
+    for chart in sc.charts:
+        total = total + mellin_exact(sc, chart)
+    total = total.reduced()
+    assert chart_sum(sc)[0] == total
+    assert global_certificate(sc).forms == total.hyperplane_forms()
 
 
 def test_global_certificate_single_chart_within_chart_cert():

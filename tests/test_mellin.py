@@ -186,7 +186,7 @@ def test_blowup_chart_inner_value_at_origin():
     sc = blowup_example()
     v = mellin_exact(sc, "z")
     pair = LinForm.normalize((1, 1, 0))
-    inner = v.mul_poly(as_poly(pair.as_affine())) * MeroValue.from_poly(
+    inner = v.mul_poly(as_poly(pair)) * MeroValue.from_poly(
         Poly.const(3, QI.one()), [(AffineForm((1, 0, 0)), 1)]
     )
     assert value_at_origin(inner) == token(-1, 3)

@@ -124,21 +124,21 @@ def test_value_at_origin_and_pole_error():
 
 def test_residue_simple_pole():
     pair = LinForm.normalize((0, 1, 1))
-    v = MeroValue.from_poly(Poly.const(3, QI.one()), [(pair.as_affine(), 1)])
+    v = MeroValue.from_poly(Poly.const(3, QI.one()), [(pair, 1)])
     r = v.residue_on(pair, (Fraction(0), Fraction(1), Fraction(-1)))
     assert r.coeff == QI.one()
 
 
 def test_residue_higher_order_rejected():
     pair = LinForm.normalize((0, 1, 1))
-    v = MeroValue.from_poly(Poly.const(3, QI.one()), [(pair.as_affine(), 2)])
+    v = MeroValue.from_poly(Poly.const(3, QI.one()), [(pair, 2)])
     with pytest.raises(HigherOrderPoleError):
         v.residue_on(pair, (Fraction(0), Fraction(1), Fraction(-1)))
 
 
 def test_residue_point_must_be_on_hyperplane():
     pair = LinForm.normalize((0, 1, 1))
-    v = MeroValue.from_poly(Poly.const(3, QI.one()), [(pair.as_affine(), 1)])
+    v = MeroValue.from_poly(Poly.const(3, QI.one()), [(pair, 1)])
     with pytest.raises(Exception):
         v.residue_on(pair, (Fraction(0), Fraction(1), Fraction(1)))
 
