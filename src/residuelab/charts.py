@@ -170,7 +170,7 @@ class Scenario:
     def testform(self, name: str) -> SeparableTestForm:
         tf = self.testforms.get(name)
         if tf is None:
-            raise KeyError(f"no test form for chart {name!r}")
+            raise ScenarioError(f"testforms[{name!r}]", "no test form for this chart")
         return tf
 
     def without_chart(self, name: str) -> "Scenario":

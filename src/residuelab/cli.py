@@ -144,6 +144,18 @@ def _chart(scenario: Scenario, name: Optional[str], flag: str = "--chart") -> Ch
         raise ScenarioError(flag, f"no chart named {name!r}") from None
 
 
+def _tube(scenario: Scenario, name: Optional[str], eps: Optional[str]) -> tuple:
+    """Test form and tube of the `--chart` at the `--eps` radii (1/100 by default); N = 1 only."""
+    sig = scenario.signature
+    if sig.N != 1:
+        raise ScenarioError("signature.N", f"tubes take N = 1 data, got N = {sig.N}")
+    chart = _chart(scenario, name)
+    radii = _fractions(eps, "--eps", sig.nfactors) if eps else [Fraction(1, 100)] * sig.nfactors
+    if any(e <= 0 for e in radii):
+        raise ScenarioError("--eps", "tube radii must be positive")
+    return scenario.testform(chart.name), tube_spec_from_chart(chart, radii)
+
+
 def _form(text: str, flag: str, count: int) -> AffineForm:
     try:
         values = [int(tok.strip()) for tok in text.split(",") if tok.strip()]
@@ -269,25 +281,19 @@ def cmd_residue(args, report: Report) -> None:
 def cmd_tube(args, report: Report) -> None:
     scenario, inputs = _load_scenario(args.scenario)
     report.inputs.update(inputs)
-    chart = _chart(scenario, args.chart)
-    testform = scenario.testform(chart.name)
-    count = scenario.signature.nfactors
-    eps = _fractions(args.eps, "--eps", count) if args.eps else [Fraction(1, 100)] * count
-    if any(e <= 0 for e in eps):
-        raise ScenarioError("--eps", "tube radii must be positive")
+    testform, spec = _tube(scenario, args.chart, args.eps)
     if args.path_M < 1:
         raise ScenarioError("--path-M", "must be >= 1")
-    spec = tube_spec_from_chart(chart, eps)
     val = tube_integral(spec, testform)
     report.results["tube_integral"] = _complex_obj(val)
-    path = AdmissiblePath.default(count, args.path_M)
+    path = AdmissiblePath.default(len(spec.eps), args.path_M)
     report.results["path_exponents"] = list(path.exponents)
     report.verdict("admissible-ratio-condition", path.ratio_condition_ok())
     limit = admissible_limit(spec, testform, path, tol=args.tol)
     report.results["admissible_limit"] = _complex_obj(limit.value)
     report.results["limit_error"] = limit.error
     report.verdict("limit-converged", limit.converged, value=limit.error, tolerance=args.tol)
-    value = mellin_exact(scenario, chart)
+    value = mellin_exact(scenario, spec.chart)
     if not value.hyperplane_forms():
         ref = value_at_origin(value).as_complex()
         rel = abs(limit.value - ref) / max(abs(ref), 1e-300)
@@ -298,10 +304,7 @@ def cmd_tube(args, report: Report) -> None:
 def cmd_mellin_check(args, report: Report) -> None:
     scenario, inputs = _load_scenario(args.scenario)
     report.inputs.update(inputs)
-    chart = _chart(scenario, args.chart)
-    testform = scenario.testform(chart.name)
-    eps = [Fraction(1, 100)] * scenario.signature.nfactors
-    spec = tube_spec_from_chart(chart, eps)
+    testform, spec = _tube(scenario, args.chart, None)
     lambdas = [_fractions(tok, "--lam", scenario.signature.nfactors) for tok in args.lam]
     if any(x < 2 for lam in lambdas for x in lam):
         raise ScenarioError("--lam", "mellin-check needs every value >= 2")

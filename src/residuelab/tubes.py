@@ -1,10 +1,12 @@
 """Residue integrals over tubular sets, admissible-path limits, and the
 iterated Mellin cross-check.
 
-Only diagonal data (distinct-variable powers) is supported: these factor
-into one-variable circle and exterior integrals, which is enough to
-exercise the Mellin identity and the limit values the exact engine
-predicts.
+A tube (`TubeSpec`) is a diagonal chart, each factor a power of its own
+variable and no Jacobian, with one radius per factor.  Its integral factors
+into one-variable circle and exterior integrals (the N = 1 integrals, times
+the chart's sign), enough to exercise the Mellin identity and the limit
+values the exact engine predicts.  `tube_integral`, `admissible_limit` and
+`mellin_check` all read one list of the terms angular selection keeps.
 """
 
 from __future__ import annotations
@@ -12,14 +14,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .charts import ChartSpec, Factor, ProblemSignature, Scenario, SeparableTestForm
-from .mellin import PlannedTerm, _gauss_legendre, mellin_exact, term_plan
-
-if TYPE_CHECKING:
-    import numpy as np
-
+from .mellin import _gauss_legendre, mellin_exact, term_plan
 
 LIMIT_T0 = Fraction(1, 2)  # first sample of an admissible limit
 
@@ -30,66 +28,53 @@ class UnsupportedTubeError(ValueError):
 
 @dataclass(frozen=True)
 class TubeSpec:
-    """Diagonal data f_i = x_i^{k_i}: first p factors residue-type (level sets),
-    the rest principal-value-type (exteriors)."""
+    """A diagonal chart, f_j = x_v^k on distinct variables with no Jacobian,
+    and one radius per factor row: the first p rows are residue-type (level
+    sets), the rest principal-value-type (exteriors)."""
 
-    n: int
-    vars: Tuple[int, ...]
-    ks: Tuple[int, ...]
-    p: int
+    chart: ChartSpec
     eps: Tuple[Fraction, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "vars", tuple(self.vars))
-        object.__setattr__(self, "ks", tuple(self.ks))
         object.__setattr__(self, "eps", tuple(Fraction(e) for e in self.eps))
-        if len(set(self.vars)) != len(self.vars):
-            raise UnsupportedTubeError("UnsupportedTube: variables must be distinct")
-        if len(self.ks) != len(self.vars) or len(self.eps) != len(self.vars):
-            raise ValueError("vars, ks, eps must have equal length")
-        if any(k < 1 for k in self.ks):
-            raise ValueError("exponents must be >= 1")
-        if any(e <= 0 for e in self.eps):
-            raise ValueError("tube radii must be positive")
-        if not 0 <= self.p <= len(self.vars):
-            raise ValueError("invalid residue count")
-        if any(v < 1 or v > self.n for v in self.vars):
-            raise ValueError("variable index out of range")
-
-    @property
-    def q(self) -> int:
-        return len(self.vars) - self.p
-
-    def with_eps(self, eps: Sequence[Fraction]) -> "TubeSpec":
-        return TubeSpec(self.n, self.vars, self.ks, self.p, tuple(eps))
-
-
-def tube_spec_from_chart(chart: ChartSpec, eps: Sequence[Fraction]) -> TubeSpec:
-    """Interpret a diagonal chart as a tube; reject non-diagonal data."""
-    rows = chart.rows()
-    vars_: List[int] = []
-    ks: List[int] = []
-    for row in rows:
-        hits = [(i + 1, e) for i, e in enumerate(row) if e]
-        if len(hits) != 1:
+        rows = self.chart.rows()
+        hits = [[i for i, e in enumerate(row) if e] for row in rows]
+        if any(len(h) != 1 for h in hits) or len({h[0] for h in hits}) != len(rows):
             raise UnsupportedTubeError(
                 "UnsupportedTube: factors must be powers of distinct single variables"
             )
-        vars_.append(hits[0][0])
-        ks.append(hits[0][1])
-    if any(chart.jac):
-        raise UnsupportedTubeError("UnsupportedTube: tube charts carry no Jacobian factor")
-    return TubeSpec(chart.n, tuple(vars_), tuple(ks), chart.p, tuple(eps))
+        if any(self.chart.jac):
+            raise UnsupportedTubeError("UnsupportedTube: tube charts carry no Jacobian factor")
+        if any(sum(row) < 1 for row in rows):
+            raise ValueError("exponents must be >= 1")
+        if len(self.eps) != len(rows):
+            raise ValueError(f"expected {len(rows)} tube radii")
+        if any(e <= 0 for e in self.eps):
+            raise ValueError("tube radii must be positive")
 
 
-def _diagonal_chart(spec: TubeSpec) -> ChartSpec:
-    """Chart with the tube's diagonal data, parameters ordered tube-first."""
-    alpha = []
-    beta = []
-    for j, v in enumerate(spec.vars):
-        row = tuple(spec.ks[j] if i == v else 0 for i in range(1, spec.n + 1))
-        (alpha if j < spec.p else beta).append(row)
-    return ChartSpec("tube", tuple(alpha), tuple(beta), (0,) * spec.n, 1)
+def tube_spec_from_chart(chart: ChartSpec, eps: Sequence[Fraction]) -> TubeSpec:
+    """The tube of a diagonal chart at radii `eps`; rejects non-diagonal data."""
+    return TubeSpec(chart, tuple(eps))
+
+
+def _tube_terms(chart: ChartSpec, testform: SeparableTestForm) -> List[Tuple[complex, tuple]]:
+    """The terms of the tube integrand that survive angular selection: each
+    term's scalar, with the chart's sign and one flip per residue factor, and
+    per variable (k, factor row or None, factor).  A spectator variable meets
+    no factor row and has k = 0."""
+    terms = []
+    for term in term_plan(chart, testform, 1):
+        if any(u != v for _, u, v, _ in term.variables):
+            continue
+        scalar = term.coeff.as_complex() * (term.sign * chart.sign * (-1) ** chart.p)
+        # a diagonal chart's column has at most one nonzero entry, k
+        variables = tuple(
+            (sum(column), column.index(sum(column)) if any(column) else None, f)
+            for column, _, _, f in term.variables
+        )
+        terms.append((scalar, variables))
+    return terms
 
 
 def tube_integral(spec: TubeSpec, testform: SeparableTestForm) -> complex:
@@ -101,39 +86,28 @@ def tube_integral(spec: TubeSpec, testform: SeparableTestForm) -> complex:
     with the block sign of moving the circle directions in front of the
     ambient orientation and one flip per residue factor.
     """
-    return _tube_value(term_plan(_diagonal_chart(spec), testform, 1), spec)
+    return _tube_value(_tube_terms(spec.chart, testform), spec.chart.p, spec.eps)
 
 
-def _tube_value(plan: Sequence[PlannedTerm], spec: TubeSpec) -> complex:
-    """Tube integral of the planned terms of the diagonal chart of `spec`."""
+def _tube_value(terms, p: int, eps: Sequence[Fraction]) -> complex:
+    """Tube integral of the selected terms at the radii `eps`."""
     total = 0j
-    for term in plan:
-        val = complex(term.coeff.as_complex()) * (term.sign * (-1) ** spec.p)
-        for column, u, v, f in term.variables:
-            if u != v:
-                val = 0j
-                break
-            j = _factor_row(column)
-            val *= _tube_factor(column, j, f, spec.p, None if j is None else spec.eps[j])
+    for val, variables in terms:
+        for k, j, f in variables:
+            val *= _tube_factor(k, j, f, p, None if j is None else eps[j])
             if not val:
                 break
         total += val
     return complex(total)
 
 
-def _factor_row(column: Tuple[int, ...]) -> Optional[int]:
-    # a diagonal chart's variable meets one factor row; a spectator meets none
-    return next((j for j, c in enumerate(column) if c), None)
-
-
-def _tube_factor(column: Tuple[int, ...], j: Optional[int], f: Factor, p: int, eps) -> complex:
-    """One variable's factor of a planned tube term, at the radius `eps` of its
-    factor row j = `_factor_row(column)`: a circle (j < p), an exterior
-    (j >= p), or the full plane of a spectator (j None; `eps` unused).  It
-    depends on no other radius."""
+def _tube_factor(k: int, j: Optional[int], f: Factor, p: int, eps) -> complex:
+    """One variable's factor of a selected tube term, x^k on factor row j, at
+    that row's radius `eps`: a circle (j < p), an exterior (j >= p), or the
+    full plane of a spectator (j None; `k` and `eps` unused).  It depends on
+    no other radius."""
     if j is None:
         return -2j * math.pi * float(f.rho.moment(f.a))
-    k = column[j]
     if j < p:
         # integral over |x|^(2k) = eps of x^a conj(x)^b rho / x^k dx
         t0 = float(eps) ** (1.0 / k)
@@ -206,12 +180,12 @@ def admissible_limit(
     if samples < 2:
         raise ValueError("admissible_limit needs samples >= 2")
     if path is None:
-        path = AdmissiblePath.default(len(spec.vars))
+        path = AdmissiblePath.default(len(spec.eps))
     if not path.ratio_condition_ok():
         raise ValueError("path does not satisfy the admissible ratio condition")
     ts = [LIMIT_T0 * Fraction(1, 2) ** j for j in range(samples)]
-    plan = term_plan(_diagonal_chart(spec), testform, 1)
-    vals = [_tube_value(plan, spec.with_eps(path.eps_at(t))) for t in ts]
+    terms = _tube_terms(spec.chart, testform)
+    vals = [_tube_value(terms, spec.chart.p, path.eps_at(t)) for t in ts]
     seq = list(vals)
     # iterated Aitken acceleration; geometric t-sampling makes power-law
     # corrections geometric, which Aitken removes
@@ -234,10 +208,6 @@ class MellinCheckRow:
     reference: complex
     rel_error: float
     sign: int
-
-
-def _mellin_weight(lam: complex, s: np.ndarray) -> np.ndarray:
-    return lam * s ** (lam - 1)
 
 
 def _panels(bounds: List[float]) -> List[Tuple[float, float]]:
@@ -265,12 +235,12 @@ def mellin_check(
     """Compare the iterated Mellin transform of the tube integral T(s_1..s_m)
     with the exact value at the same points.
 
-    On diagonal data each planned term of T is a constant times a product of
+    On diagonal data each selected term of T is a constant times a product of
     one-variable factors, and factor j reads only its own radius s_j.  So the
     m-fold transform, the integral of T(s) prod_j lam_j s_j^(lam_j - 1) over
     (0, oo)^m, is exactly
 
-        sum over terms of  coeff * sign * (-1)^p * prod_j M_j(lam_j),
+        sum over terms of  coeff * sign * chart.sign * (-1)^p * prod_j M_j(lam_j),
 
     where M_j is the one-variable transform of factor j (Gauss-Legendre, 40
     nodes per panel) and a spectator variable contributes its constant factor.
@@ -279,39 +249,39 @@ def mellin_check(
     """
     import numpy as np
 
+    chart = spec.chart
+    count = len(spec.eps)
     lambdas = [[complex(z) for z in lam] for lam in lambdas]
+    if any(len(lam) != count for lam in lambdas):
+        raise ValueError(f"expected {count} parameter values")
     if any(z.real < 2 for lam in lambdas for z in lam):
         raise ValueError("mellin_check needs Re(lambda) >= 2")
-    chart = _diagonal_chart(spec)
-    scenario = Scenario(ProblemSignature(spec.n, spec.p, spec.q, 1), (chart,), {chart.name: testform})
-    exact = mellin_exact(scenario, chart)
-    plan = term_plan(chart, testform, 1)
+    signature = ProblemSignature(chart.n, chart.p, chart.q, 1)
+    exact = mellin_exact(Scenario(signature, (chart,), {chart.name: testform}), chart)
+    terms = _tube_terms(chart, testform)
 
     # knots of the tube integrand in each s_j: images of profile knots
-    supports = [
-        sorted({0.0} | {float(x) ** k for term in testform.terms for x in term.factors[v - 1].rho.knots})
-        for v, k in zip(spec.vars, spec.ks)
-    ]
+    supports = []
+    for row in chart.rows():
+        k = sum(row)  # a diagonal row's one nonzero exponent
+        knots = {x for term in testform.terms for x in term.factors[row.index(k)].rho.knots}
+        supports.append(sorted({0.0} | {float(x) ** k for x in knots}))
     gl_nodes, gl_w = _gauss_legendre(40)
 
     rows = []
     for lam in lambdas:
         total = 0j
-        for term in plan:
-            if any(u != v for _, u, v, _ in term.variables):
-                continue
-            val = complex(term.coeff.as_complex()) * (term.sign * (-1) ** spec.p)
-            for column, _, _, f in term.variables:
-                j = _factor_row(column)
+        for val, variables in terms:
+            for k, j, f in variables:
                 if j is None:
-                    val *= _tube_factor(column, None, f, spec.p, None)
+                    val *= _tube_factor(k, None, f, chart.p, None)
                     continue
                 transform = 0j
                 for a, b in _panels(supports[j]):
                     s = 0.5 * (b - a) * gl_nodes + 0.5 * (b + a)
                     w = 0.5 * (b - a) * gl_w
-                    vals = np.array([_tube_factor(column, j, f, spec.p, x) for x in s])
-                    transform += np.sum(w * vals * _mellin_weight(lam[j], s))
+                    vals = np.array([_tube_factor(k, j, f, chart.p, x) for x in s])
+                    transform += np.sum(w * vals * (lam[j] * s ** (lam[j] - 1)))
                 val *= transform
             total += val
         ref = exact.eval_complex(list(lam))

@@ -173,15 +173,13 @@ def test_criterion_6_mellin_identity(capsys):
     tf = SeparableTestForm(
         (SeparableTerm(QI.one(), (Factor(1, 0, box),), frozenset({1})),)
     )
-    from residuelab import TubeSpec
-
+    chart = ChartSpec("c", (), ((1,),), (0,), 1)
     for eps in (Fraction(1, 4), Fraction(1, 9), Fraction(3, 7)):
-        spec = TubeSpec(1, (1,), (1,), 0, (eps,))
+        spec = tube_spec_from_chart(chart, (eps,))
         got = tube_integral(spec, tf)
         assert abs(got - (-2j * math.pi * (1 - float(eps)))) < 1e-12
     # closed continued value: -2*pi*i/(L+1)
     sig = ProblemSignature(n=1, p=0, q=1, N=1)
-    chart = ChartSpec("c", (), ((1,),), (0,), 1)
     sc = Scenario(sig, (chart,), {"c": tf})
     v = mellin_exact(sc, "c")
     from residuelab.linform import AffineForm
@@ -190,7 +188,7 @@ def test_criterion_6_mellin_identity(capsys):
 
     assert v == MeroValue.from_poly(Poly.const(1, QI.of(-1)), [(AffineForm((1,), 1), 1)], 1)
     # numeric identity at lambda in {3, 5}
-    spec = TubeSpec(1, (1,), (1,), 0, (Fraction(1, 4),))
+    spec = tube_spec_from_chart(chart, (Fraction(1, 4),))
     rows = mellin_check(spec, tf, [[3.0], [5.0]])
     assert all(r.rel_error <= 1e-6 for r in rows)
     # mixed pair at (3, 3)

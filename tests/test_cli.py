@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -134,6 +135,54 @@ def test_mellin_check_command(capsys, diagonal_file):
     assert code == 0
     obj = json.loads(out)
     assert all(v["pass"] for v in obj["verdicts"])
+
+
+def test_tube_commands_apply_the_chart_sign(capsys, tmp_path):
+    # a tube that dropped the chart's sign would meet the origin value and
+    # the exact value with the wrong sign
+    doc = diagonal_scenario([1, 1], p=1).to_obj()
+    doc["charts"][0]["sign"] = -1
+    path = tmp_path / "negative.json"
+    path.write_text(json.dumps(doc))
+    code, out = run(capsys, "tube", str(path), "--format", "json")
+    verdicts = {v["name"]: v["pass"] for v in json.loads(out)["verdicts"]}
+    assert code == 0
+    assert verdicts["limit-matches-origin-value"] is True
+    code, out = run(capsys, "mellin-check", str(path), "--lam", "3,3", "--format", "json")
+    assert code == 0
+    reference = json.loads(out)["results"]["lambda(3.0,3.0)"]["reference"]
+    code, out = run(capsys, "eval", str(path), "--lam", "3,3", "--format", "json")
+    exact = json.loads(out)["results"]["exact_at_point"]
+    want = complex(Fraction(*exact["re"]), Fraction(*exact["im"])) * (2j * math.pi) ** exact["twopii_power"]
+    assert abs(want) > 1e-3
+    assert complex(reference["re"], reference["im"]) == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("argv", [["tube"], ["mellin-check", "--lam", "3,3"]], ids=["tube", "mellin-check"])
+def test_tube_commands_reject_N_other_than_1(capsys, tmp_path, argv):
+    # the tube factors are the N = 1 integrals: an N = 2 scenario would be
+    # checked against the wrong integral
+    path = tmp_path / "n2.json"
+    path.write_text(diagonal_scenario([1, 1], p=1, N=2).to_json())
+    assert main([argv[0], str(path), *argv[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: signature.N: tubes take N = 1 data, got N = 2\n"
+    assert captured.out == ""
+
+
+def test_missing_test_form_names_its_path(capsys, tmp_path):
+    doc = blowup_example().to_obj()
+    del doc["testforms"]["zeta"]
+    path = tmp_path / "no-zeta.json"
+    path.write_text(json.dumps(doc))
+    for argv in (["global", str(path)], ["tube", str(path), "--chart", "zeta"]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: testforms['zeta']: no test form for this chart\n"
+        assert captured.out == ""
+    code, out = run(capsys, "poles", str(path), "--format", "json")
+    assert code == 0
+    assert json.loads(out)["results"]["global"] == "skipped (test forms missing for some chart)"
 
 
 def test_divlemma_pass_and_fail(capsys, tmp_path):

@@ -39,8 +39,13 @@ def term(factors, slots):
     return SeparableTestForm((SeparableTerm(QI.one(), tuple(factors), frozenset(slots)),))
 
 
+def diagonal_tube(ks, p, eps):
+    # f_i = x_i^k_i, the first p factors residue-type
+    return TubeSpec(diagonal_scenario(ks, p=p).charts[0], eps)
+
+
 def test_pv_tube_closed_form():
-    spec = TubeSpec(1, (1,), (1,), 0, (Fraction(1, 4),))
+    spec = diagonal_tube([1], 0, (Fraction(1, 4),))
     tf = term([Factor(1, 0, box())], {1})
     val = tube_integral(spec, tf)
     assert abs(val - (-TWO_PI_I * (1 - 0.25))) < 1e-12
@@ -49,12 +54,12 @@ def test_pv_tube_closed_form():
 def test_circle_tube_cauchy_limit():
     tf = term([Factor(0, 0, RadialProfile.bump(2))], set())
     for eps in (Fraction(1, 10), Fraction(1, 100), Fraction(1, 1000)):
-        spec = TubeSpec(1, (1,), (1,), 1, (eps,))
+        spec = diagonal_tube([1], 1, (eps,))
         val = tube_integral(spec, tf)
         rho = RadialProfile.bump(2).value(float(eps))
         assert abs(val - TWO_PI_I * rho) < 1e-12
     # limit as eps -> 0 is 2*pi*i
-    spec = TubeSpec(1, (1,), (1,), 1, (Fraction(1),))
+    spec = diagonal_tube([1], 1, (Fraction(1),))
     res = admissible_limit(spec, tf)
     assert abs(res.value - TWO_PI_I) < 1e-8
 
@@ -63,31 +68,31 @@ def test_two_circle_tube_factorizes_with_block_sign():
     # torus integral = product of circle factors, times the sign of moving
     # both circle directions in front of the ambient orientation
     tf_pair = term([Factor(0, 0, RadialProfile.bump(2)), Factor(0, 0, RadialProfile.bump(2))], set())
-    spec = TubeSpec(2, (1, 2), (1, 1), 2, (Fraction(1, 9), Fraction(1, 16)))
+    spec = diagonal_tube([1, 1], 2, (Fraction(1, 9), Fraction(1, 16)))
     val = tube_integral(spec, tf_pair)
     tf_one = term([Factor(0, 0, RadialProfile.bump(2))], set())
-    f1 = tube_integral(TubeSpec(1, (1,), (1,), 1, (Fraction(1, 9),)), tf_one)
-    f2 = tube_integral(TubeSpec(1, (1,), (1,), 1, (Fraction(1, 16),)), tf_one)
+    f1 = tube_integral(diagonal_tube([1], 1, (Fraction(1, 9),)), tf_one)
+    f2 = tube_integral(diagonal_tube([1], 1, (Fraction(1, 16),)), tf_one)
     assert abs(val - (-1) * f1 * f2) < 1e-12
 
 
 def test_mixed_tube_is_plain_product():
     tf_pair = term([Factor(0, 0, RadialProfile.bump(2)), Factor(1, 0, box())], {2})
-    spec = TubeSpec(2, (1, 2), (1, 1), 1, (Fraction(1, 9), Fraction(1, 16)))
+    spec = diagonal_tube([1, 1], 1, (Fraction(1, 9), Fraction(1, 16)))
     val = tube_integral(spec, tf_pair)
     f1 = tube_integral(
-        TubeSpec(1, (1,), (1,), 1, (Fraction(1, 9),)),
+        diagonal_tube([1], 1, (Fraction(1, 9),)),
         term([Factor(0, 0, RadialProfile.bump(2))], set()),
     )
     f2 = tube_integral(
-        TubeSpec(1, (1,), (1,), 0, (Fraction(1, 16),)),
+        diagonal_tube([1], 0, (Fraction(1, 16),)),
         term([Factor(1, 0, box())], {1}),
     )
     assert abs(val - f1 * f2) < 1e-12
 
 
 def test_pv_limit_matches_closed_form():
-    spec = TubeSpec(1, (1,), (1,), 0, (Fraction(1),))
+    spec = diagonal_tube([1], 0, (Fraction(1),))
     tf = term([Factor(1, 0, box())], {1})
     res = admissible_limit(spec, tf)
     assert abs(res.value - (-TWO_PI_I)) < 1e-8
@@ -102,7 +107,7 @@ def test_admissible_limit_samples_equal_tube_integrals():
     path = AdmissiblePath.default(2)
     res = admissible_limit(spec, tf, path, samples=6)
     ts = [Fraction(1, 2) ** (j + 1) for j in range(6)]
-    direct = tuple(tube_integral(spec.with_eps(path.eps_at(t)), tf) for t in ts)
+    direct = tuple(tube_integral(tube_spec_from_chart(chart, path.eps_at(t)), tf) for t in ts)
     assert any(direct)
     assert [repr(z) for z in res.samples] == [repr(z) for z in direct]
 
@@ -149,7 +154,7 @@ def test_limits_match_origin_values_diagonal():
 
 
 def test_mellin_check_pv_closed_form():
-    spec = TubeSpec(1, (1,), (1,), 0, (Fraction(1, 4),))
+    spec = diagonal_tube([1], 0, (Fraction(1, 4),))
     tf = term([Factor(1, 0, box())], {1})
     rows = mellin_check(spec, tf, [[3.0], [5.0]])
     for row in rows:
@@ -161,7 +166,7 @@ def test_mellin_check_pv_closed_form():
 
 
 def test_mellin_check_zero_form():
-    spec = TubeSpec(1, (1,), (1,), 0, (Fraction(1, 4),))
+    spec = diagonal_tube([1], 0, (Fraction(1, 4),))
     tf = term([Factor(2, 0, box())], {1})  # twisted: identically zero
     rows = mellin_check(spec, tf, [[3.0]])
     assert abs(rows[0].transform) < 1e-12
@@ -283,7 +288,7 @@ def test_gauss_legendre_rules_computed_once_per_node_count(monkeypatch):
 
 def test_unsupported_tube_shapes():
     with pytest.raises(UnsupportedTubeError):
-        TubeSpec(2, (1, 1), (1, 1), 1, (Fraction(1, 2), Fraction(1, 2)))
+        TubeSpec(ChartSpec("c", ((1, 0),), ((1, 0),), (0, 0), 1), (Fraction(1, 2), Fraction(1, 2)))
     chart = ChartSpec("c", ((1, 1),), (), (0, 0), 1)
     with pytest.raises(UnsupportedTubeError):
         tube_spec_from_chart(chart, [Fraction(1, 2)])
@@ -294,7 +299,7 @@ def test_unsupported_tube_shapes():
 
 def test_circle_slot_conflict_gives_zero():
     # a conjugate slot on a circle variable contributes nothing
-    spec = TubeSpec(2, (1, 2), (1, 1), 1, (Fraction(1, 4), Fraction(1, 4)))
+    spec = diagonal_tube([1, 1], 1, (Fraction(1, 4), Fraction(1, 4)))
     tf = term([Factor(0, 0, box()), Factor(1, 0, box())], {1})
     assert tube_integral(spec, tf) == 0
 
@@ -368,3 +373,38 @@ def test_admissible_limit_needs_two_samples(samples):
     with pytest.raises(ValueError, match="samples >= 2"):
         admissible_limit(spec, sc.testform(chart.name), samples=samples)
     assert len(admissible_limit(spec, sc.testform(chart.name), samples=2).samples) == 2
+
+
+def test_chart_sign_applies_to_every_tube_path():
+    sc = diagonal_scenario([1, 1], p=1)
+    chart = sc.charts[0]
+    negative = ChartSpec(chart.name, chart.alpha, chart.beta, chart.jac, -1)
+    tf = sc.testform(chart.name)
+    eps = [Fraction(1, 100)] * 2
+    pos, neg = (tube_spec_from_chart(c, eps) for c in (chart, negative))
+    assert tube_integral(neg, tf) == -tube_integral(pos, tf) != 0
+    assert admissible_limit(neg, tf).value == -admissible_limit(pos, tf).value
+    (row_pos,), (row_neg,) = (mellin_check(s, tf, [[3.0, 3.0]]) for s in (pos, neg))
+    assert (row_neg.transform, row_neg.reference) == (-row_pos.transform, -row_pos.reference)
+    assert row_neg.rel_error == row_pos.rel_error <= 1e-10
+    assert row_neg.sign == 1
+
+
+@pytest.mark.parametrize("lam", [[3.0, 3.0, 3.0], [3.0]], ids=["long", "short"])
+def test_mellin_check_lam_length_is_the_factor_count(lam):
+    # a long row used to pass on its first two entries, a short one to fail
+    # with an IndexError
+    sc = diagonal_scenario([1, 1], p=1)
+    spec = tube_spec_from_chart(sc.charts[0], [Fraction(1, 100)] * 2)
+    with pytest.raises(ValueError, match="expected 2 parameter values"):
+        mellin_check(spec, sc.testform(sc.charts[0].name), [[3.0, 3.0], lam])
+
+
+def test_tube_spec_needs_one_positive_radius_per_factor():
+    chart = diagonal_scenario([1, 2], p=1).charts[0]
+    with pytest.raises(ValueError, match="expected 2 tube radii"):
+        TubeSpec(chart, (Fraction(1, 4),))
+    with pytest.raises(ValueError, match="tube radii must be positive"):
+        TubeSpec(chart, (Fraction(1, 4), Fraction(0)))
+    spec = tube_spec_from_chart(chart, [Fraction(1, 4), 1])
+    assert (spec.chart, spec.eps) == (chart, (Fraction(1, 4), Fraction(1)))
