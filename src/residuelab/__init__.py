@@ -56,7 +56,7 @@ from .mellin import (
 )
 from .merovalue import MeroValue, PoleAtOriginError, TokenScalar
 from .poly import Poly
-from .profiles import ExactnessError, RadialProfile
+from .profiles import ExactnessError, InputError, RadialProfile
 from .tubes import (
     AdmissiblePath,
     TubeSpec,

@@ -15,10 +15,10 @@ from fractions import Fraction
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from .gaussian import QI
-from .profiles import RadialProfile
+from .profiles import InputError, RadialProfile
 
 
-class ScenarioError(ValueError):
+class ScenarioError(InputError):
     """Validation failure, carrying the path of the offending field."""
 
     def __init__(self, path: str, message: str):
@@ -28,11 +28,12 @@ class ScenarioError(ValueError):
 
 
 def _rational(v, path: str) -> Fraction:
-    if isinstance(v, (list, tuple)) and len(v) == 2 and all(isinstance(x, int) for x in v):
+    # `type(x) is int`, not isinstance: JSON true and false parse to bools
+    if isinstance(v, (list, tuple)) and len(v) == 2 and all(type(x) is int for x in v):
         if v[1] == 0:
             raise ScenarioError(path, "zero denominator")
         return Fraction(v[0], v[1])
-    if isinstance(v, int):
+    if type(v) is int:
         return Fraction(v)
     raise ScenarioError(path, f"expected rational as [num, den], got {v!r}")
 
@@ -225,14 +226,12 @@ class Scenario:
 
 
 def parse_scenario(document) -> Scenario:
-    """Validate a scenario document (dict, JSON string, or path-like of JSON)."""
-    if isinstance(document, (str, bytes)):
+    """Validate a scenario document (dict, JSON string, or file object of JSON)."""
+    if isinstance(document, (str, bytes)) or hasattr(document, "read"):
         try:
-            obj = json.loads(document)
-        except json.JSONDecodeError as exc:
+            obj = json.load(document) if hasattr(document, "read") else json.loads(document)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ScenarioError("$", f"invalid JSON: {exc}") from exc
-    elif hasattr(document, "read"):
-        obj = json.load(document)
     else:
         obj = document
     if not isinstance(obj, dict):
@@ -269,7 +268,7 @@ def parse_scenario(document) -> Scenario:
         if not isinstance(jac_obj, list) or len(jac_obj) != sig.n:
             raise ScenarioError(f"{base}.jac", f"expected {sig.n} exponents")
         jac = tuple(_int(v, f"{base}.jac[{j}]", 0) for j, v in enumerate(jac_obj))
-        sign = c.get("sign", 1)
+        sign = _int(c.get("sign", 1), f"{base}.sign")
         if sign not in (1, -1):
             raise ScenarioError(f"{base}.sign", "sign must be +1 or -1")
         flags_obj = c.get("unit_flags", [False] * sig.nfactors)

@@ -1,7 +1,7 @@
 """Command-line interface: scenario I/O, reports, and the packaged example.
 
-Exit codes: 0 all verdicts pass, 1 a verdict failed, 2 input or usage error,
-3 internal error (an engine fault, such as a stalled deduction).
+Exit codes: 0 all verdicts pass, 1 a verdict failed, 2 input or usage error (an
+InputError), 3 internal error (any other exception: an engine fault).
 JSON reports are byte-reproducible for identical inputs and options; wall
 clock timing appears only in the human table output.
 """
@@ -37,19 +37,14 @@ from .extforms import (
     log_wedge_nonsingular,
 )
 from .gaussian import QI
-from .leibniz import (
-    ResonantUnitsError,
-    chart_certificate,
-    global_certificate,
-    shape_violations,
-)
+from .leibniz import chart_certificate, global_certificate, shape_violations
 from .linform import AffineForm
-from .mellin import chart_sum, mellin_exact, mellin_quadrature, residue_on, value_at_origin
-from .merovalue import PoleAtOriginError, TokenScalar
-from .profiles import ExactnessError
+from .mellin import DimensionTooLargeError, mellin_quadrature
+from .mellin import chart_sum, mellin_exact, residue_on, value_at_origin
+from .merovalue import HigherOrderPoleError, PoleAtPointError, TokenScalar
+from .profiles import ExactnessError, InputError
 from .tubes import (
     AdmissiblePath,
-    UnsupportedTubeError,
     admissible_limit,
     mellin_check,
     tube_integral,
@@ -113,17 +108,21 @@ def _short(val) -> str:
     return s if len(s) <= 200 else s[:197] + "..."
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+def _read_json(path: str) -> tuple:
+    """The JSON document in the file and the SHA-256 of its bytes; a file that
+    cannot be read as UTF-8 JSON raises ScenarioError naming the file."""
+    try:
+        data = Path(path).read_bytes()
+        return json.loads(data.decode("utf-8")), hashlib.sha256(data).hexdigest()
+    except OSError as exc:
+        raise ScenarioError(path, exc.strerror or str(exc)) from None
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ScenarioError(path, f"not UTF-8 JSON: {exc}") from None
 
 
 def _load_scenario(path: str) -> tuple[Scenario, dict]:
-    p = Path(path)
-    if not p.exists():
-        raise ScenarioError(path, "file not found")
-    text = p.read_text()
-    scenario = parse_scenario(text)
-    return scenario, {"scenario": str(p), "sha256": _sha256(p)}
+    obj, sha256 = _read_json(path)
+    return parse_scenario(obj), {"scenario": str(Path(path)), "sha256": sha256}
 
 
 def _fractions(text: str, flag: str, count: Optional[int] = None) -> List[Fraction]:
@@ -131,6 +130,8 @@ def _fractions(text: str, flag: str, count: Optional[int] = None) -> List[Fracti
         values = [Fraction(tok.strip()) for tok in text.split(",") if tok.strip()]
     except ZeroDivisionError:
         raise ScenarioError(flag, "zero denominator") from None
+    except ValueError:
+        raise ScenarioError(flag, "expected comma-separated rationals") from None
     if count is not None and len(values) != count:
         raise ScenarioError(flag, f"expected {count} values")
     return values
@@ -231,10 +232,17 @@ def cmd_eval(args, report: Report) -> None:
     value = mellin_exact(scenario, chart)
     report.results["exact"] = value.to_obj()
     report.results["exact_pretty"] = str(value)
-    point = value.eval_rational(lam)
+    try:
+        point = value.eval_rational(lam)
+    except PoleAtPointError as exc:
+        raise ScenarioError("--lam", str(exc)) from None
     report.results["exact_at_point"] = _token_obj(point)
     if all(x >= 2 for x in lam) and scenario.signature.n <= 3:
-        quad = mellin_quadrature(scenario, chart, [complex(x) for x in lam])
+        try:
+            quad = mellin_quadrature(scenario, chart, [complex(x) for x in lam])
+        except DimensionTooLargeError as exc:
+            report.results["quadrature"] = f"skipped ({exc})"
+            return
         ref = point.as_complex()
         rel = abs(quad.value - ref) / max(abs(ref), 1e-300)
         report.results["quadrature"] = _complex_obj(quad.value)
@@ -268,7 +276,12 @@ def cmd_residue(args, report: Report) -> None:
     power = 0
     for chart in [_chart(scenario, args.chart)] if args.chart else scenario.charts:
         v = mellin_exact(scenario, chart)
-        r = residue_on(form, v, point)
+        try:
+            r = residue_on(form, v, point)
+        except HigherOrderPoleError as exc:
+            raise ScenarioError("--form", str(exc)) from None
+        except PoleAtPointError as exc:
+            raise ScenarioError("--point", f"chart {chart.name}: {exc}") from None
         report.results[f"residue:{chart.name}"] = _token_obj(r)
         if r.coeff:
             total = total + r.coeff
@@ -293,7 +306,11 @@ def cmd_tube(args, report: Report) -> None:
     report.results["admissible_limit"] = _complex_obj(limit.value)
     report.results["limit_error"] = limit.error
     report.verdict("limit-converged", limit.converged, value=limit.error, tolerance=args.tol)
-    value = mellin_exact(scenario, spec.chart)
+    try:
+        value = mellin_exact(scenario, spec.chart)
+    except ExactnessError as exc:
+        report.results["origin_value"] = f"skipped ({exc})"
+        return
     if not value.hyperplane_forms():
         ref = value_at_origin(value).as_complex()
         rel = abs(limit.value - ref) / max(abs(ref), 1e-300)
@@ -324,14 +341,10 @@ def cmd_mellin_check(args, report: Report) -> None:
 
 
 def cmd_divlemma(args, report: Report) -> None:
-    p = Path(args.file)
-    if not p.exists():
-        raise ScenarioError(args.file, "file not found")
-    obj = json.loads(p.read_text())
+    obj, sha256 = _read_json(args.file)
     if not isinstance(obj, dict):
         raise ScenarioError(args.file, "expected a JSON object")
-    report.inputs["file"] = str(p)
-    report.inputs["sha256"] = _sha256(p)
+    report.inputs.update(file=str(Path(args.file)), sha256=sha256)
     n = _int(obj.get("n"), "n", 1)
     K = obj.get("K", [])
     if not isinstance(K, list):
@@ -365,7 +378,7 @@ def cmd_divlemma(args, report: Report) -> None:
 
 
 def cmd_deduce(args, report: Report) -> None:
-    trace = deduce(args.p, args.q)
+    trace = deduce(_int(args.p, "p", 1), _int(args.q, "q", 0))
     report.results["trace"] = trace.to_obj()
     report.results["steps"] = len(trace.steps)
     report.verdict("analytic", trace.analytic)
@@ -494,8 +507,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     started = time.monotonic()
     try:
         args.fn(args, report)
-    except (ScenarioError, UnsupportedTubeError, ExactnessError, ResonantUnitsError,
-            PoleAtOriginError, json.JSONDecodeError, OSError, KeyError, ValueError) as exc:
+    except InputError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except Exception as exc:

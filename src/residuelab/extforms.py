@@ -20,10 +20,6 @@ from .poly import Poly
 IndexTuple = Tuple[int, ...]
 
 
-class DegreeError(ValueError):
-    pass
-
-
 def _sorted_signed(idx: Sequence[int]) -> Tuple[IndexTuple, int]:
     """Sort wedge indices, tracking the permutation sign; repeated index kills the term."""
     if len(set(idx)) != len(idx):
@@ -43,7 +39,7 @@ class PolyForm:
         clean: Dict[IndexTuple, Poly] = {}
         for idx, c in self.terms.items():
             if len(idx) != self.degree:
-                raise DegreeError(f"index tuple {idx} does not match degree {self.degree}")
+                raise ValueError(f"index tuple {idx} does not match degree {self.degree}")
             if any(b <= a for a, b in zip(idx, idx[1:])):
                 raise ValueError(f"index tuple {idx} must be strictly increasing")
             if any(i < 1 or i > self.nvars for i in idx):
@@ -81,7 +77,7 @@ class PolyForm:
         if other.is_zero():
             return self
         if self.degree != other.degree:
-            raise DegreeError("cannot add forms of different degree")
+            raise ValueError("cannot add forms of different degree")
         out = dict(self.terms)
         for idx, c in other.terms.items():
             s = out.get(idx)

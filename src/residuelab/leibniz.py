@@ -13,18 +13,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
-from .charts import ChartSpec, Scenario
+from .charts import ChartSpec, InputError, Scenario
 from .linform import AffineForm
 
 
-class ResonantUnitsError(ValueError):
+class ResonantUnitsError(InputError):
     """Chart carries unit factors the engine cannot normalize away."""
-
-
-class CancellationError(AssertionError):
-    """Axis-cancellation uniqueness violated; the chart data is inconsistent."""
 
 
 @dataclass(frozen=True)
@@ -140,23 +136,15 @@ def expand(chart: ChartSpec) -> List[MeroTerm]:
         axes = list(range(1, p + 1))
         denominators: List[AffineForm] = []
         cancelled: List[Tuple[int, AffineForm]] = []
-        seen_axis: Dict[int, int] = {}
         for i in cols:
             if i in K:
                 continue
             form = AffineForm.normalize(chart.column(i))
             t = form.axis_index()
             if t is not None:
-                seen_axis[t] = seen_axis.get(t, 0) + 1
-                if seen_axis[t] > 1:
-                    raise CancellationError(
-                        f"chart {chart.name!r}: two denominator columns proportional to "
-                        f"axis {t}; input is not compatible with a complete intersection"
-                    )
-                if t not in axes:
-                    raise CancellationError(
-                        f"chart {chart.name!r}: axis {t} not available for cancellation"
-                    )
+                # cannot fail: i is not in K, so t is an alpha row (t <= p), and two
+                # columns on axis t, nonzero in row t only, are parallel on the basis
+                # rows, which makes the subset determinant 0 and skips the subset
                 axes.remove(t)
                 cancelled.append((t, form))
             else:

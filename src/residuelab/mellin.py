@@ -24,6 +24,7 @@ from .poly import Poly
 from .profiles import RadialProfile
 
 QUAD_NODES, QUAD_ANGLES = 24, 32  # coarse quadrature pass; the fine pass doubles both
+QUAD_MAX_ANGLES = 2**16  # 4 angles per unit of twist; bounds the angle arrays (2 MB at the fine pass)
 
 
 class DimensionTooLargeError(ValueError):
@@ -261,6 +262,8 @@ def mellin_quadrature(
         for f in term.factors:
             max_twist = max(max_twist, abs(f.a - f.b) + 1)
     nt = max(QUAD_ANGLES, 4 * max_twist)
+    if nt > QUAD_MAX_ANGLES:
+        raise DimensionTooLargeError(f"DimensionTooLarge: twist {max_twist - 1} needs {nt} angles")
     plan = term_plan(chart, testform, sig.N)
     coarse = _quad_total(plan, chart.sign, sig.p, lam, QUAD_NODES, nt)
     fine = _quad_total(plan, chart.sign, sig.p, lam, 2 * QUAD_NODES, 2 * nt)

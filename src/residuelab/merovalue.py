@@ -99,14 +99,6 @@ class TokenScalar:
 
         return self.coeff.as_complex() * (2j * math.pi) ** self.power
 
-    def __eq__(self, other):
-        if not isinstance(other, TokenScalar):
-            return NotImplemented
-        return self.coeff == other.coeff and (not self.coeff or self.power == other.power)
-
-    def __hash__(self):
-        return hash((self.coeff, self.power if self.coeff else 0))
-
     def __mul__(self, other):
         if isinstance(other, TokenScalar):
             return TokenScalar(self.coeff * other.coeff, self.power + other.power)

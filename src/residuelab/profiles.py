@@ -18,7 +18,11 @@ from typing import Sequence, Tuple
 from .gaussian import _frac
 
 
-class ExactnessError(ValueError):
+class InputError(ValueError):
+    """Bad input, named in the message; the CLI exits 2 on it and 3 on any other error."""
+
+
+class ExactnessError(InputError):
     """Profile not in the exactly integrable class (knots must be 0 and 1)."""
 
 

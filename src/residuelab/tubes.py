@@ -16,13 +16,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .charts import ChartSpec, Factor, ProblemSignature, Scenario, SeparableTestForm
+from .charts import ChartSpec, Factor, InputError, ProblemSignature, Scenario, SeparableTestForm
 from .mellin import _gauss_legendre, mellin_exact, term_plan
 
 LIMIT_T0 = Fraction(1, 2)  # first sample of an admissible limit
 
 
-class UnsupportedTubeError(ValueError):
+class UnsupportedTubeError(InputError):
     pass
 
 

@@ -1,4 +1,5 @@
 import functools
+import io
 import json
 
 import pytest
@@ -41,6 +42,16 @@ def test_parse_negative_exponent_path():
     with pytest.raises(ScenarioError) as err:
         parse_scenario(bad)
     assert err.value.path == "charts[0].beta[0][0]"
+
+
+@pytest.mark.parametrize(
+    "document", [io.StringIO("{not json"), b"\xff{}", "{not json"], ids=["file", "bytes", "str"]
+)
+def test_parse_invalid_json_is_a_scenario_error(document):
+    # library callers catch InputError, so a file object or bytes must not leak json's errors
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(document)
+    assert err.value.path == "$"
 
 
 def test_parse_duplicate_chart_name():

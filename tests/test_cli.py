@@ -8,10 +8,11 @@ from pathlib import Path
 
 import pytest
 
-from residuelab import blowup_example, cli, diagonal_scenario
+from residuelab import QI, AffineForm, MeroValue, blowup_example, cli, diagonal_scenario
 from residuelab.cli import main
 from residuelab.deduction import StalledError
 from residuelab.extforms import PolyForm, form_to_obj
+from residuelab.merovalue import TokenPowerError
 from residuelab.poly import Poly
 
 
@@ -442,6 +443,126 @@ def test_engine_fault_exits_3_without_traceback(capsys, monkeypatch, blowup_file
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "internal error: RuntimeError: engine fault\n"
+
+
+@pytest.mark.parametrize(
+    "exc",
+    [KeyError("no such key"), TokenPowerError("mixed powers of 2*pi*i"), ValueError("engine fault")],
+    ids=["KeyError", "TokenPowerError", "ValueError"],
+)
+def test_library_errors_other_than_input_errors_exit_3(capsys, monkeypatch, blowup_file, exc):
+    # only an InputError is bad input; a KeyError or ValueError from the
+    # engine is an engine fault, whatever its base class
+    def broken(scenario):
+        raise exc
+
+    monkeypatch.setattr(cli, "chart_sum", broken)
+    assert main(["global", blowup_file]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"internal error: {type(exc).__name__}: {exc}\n"
+
+
+@pytest.mark.parametrize(
+    "path, value, field",
+    [
+        (("charts", 0, "sign"), 1.0, "charts[0].sign"),
+        (("charts", 0, "sign"), -1.0, "charts[0].sign"),
+        (("charts", 0, "sign"), True, "charts[0].sign"),
+        (("testforms", "z", "terms", 0, "coeff", "re"), [True, 2], "testforms['z'].terms[0].coeff.re"),
+        (("testforms", "z", "terms", 0, "factors", 0, "rho", "knots", 1), True,
+         "testforms['z'].terms[0].factors[0].rho.knots[1]"),
+    ],
+    ids=["sign-1.0", "sign--1.0", "sign-true", "coeff-re-true", "knot-true"],
+)
+def test_json_floats_and_booleans_are_not_integers(capsys, tmp_path, path, value, field):
+    # a float sign reached the engine and failed there; JSON true was read as 1
+    doc = blowup_example().to_obj()
+    owner = doc
+    for key in path[:-1]:
+        owner = owner[key]
+    owner[path[-1]] = value
+    file = tmp_path / "typed.json"
+    file.write_text(json.dumps(doc))
+    for argv in (["poles"], ["global"], ["eval", "--lam", "3,3,3"]):
+        assert main([argv[0], str(file), *argv[1:]]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {field}: ")
+        assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["poles", "divlemma"])
+@pytest.mark.parametrize("kind", ["directory", "not-utf8", "not-json", "missing"])
+def test_unreadable_input_files_name_the_file(capsys, tmp_path, command, kind):
+    path = tmp_path / "input.json"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "not-utf8":
+        path.write_bytes(b"\xff\xfe{}")
+    elif kind == "not-json":
+        path.write_text("{not json")
+    assert main([command, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {path}: ")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "lam, message",
+    [
+        ("1,-1,0", "--lam: value has a pole at the requested point: L2+1, L1+L2"),
+        ("x,1,1", "--lam: expected comma-separated rationals"),
+    ],
+    ids=["pole", "not-rational"],
+)
+def test_eval_lam_errors_name_the_flag(capsys, blowup_file, lam, message):
+    assert main(["eval", blowup_file, "--lam", lam]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
+def test_residue_on_a_double_pole_names_the_form(capsys, monkeypatch, blowup_file):
+    # no chart of the example has a double pole, so the chart value is replaced by one
+    pair = AffineForm.normalize((1, 1, 0))
+    double = MeroValue.from_poly(Poly.const(3, QI.one()), [(pair, 2)])
+    monkeypatch.setattr(cli, "mellin_exact", lambda scenario, chart: double)
+    assert main(["residue", blowup_file, "--form", "1,1,0", "--point", "1/3,-1/3,1/5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: --form: HigherOrderPole: L1+L2 has multiplicity 2\n"
+    assert captured.out == ""
+
+
+def test_residue_point_on_another_pole_names_the_point(capsys, blowup_file):
+    assert main(["residue", blowup_file, "--form", "1,1,0", "--point", "1,-1,0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: --point: chart z: value has a pole at the requested point: L2+1\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, message", [(("0", "1"), "p: must be >= 1, got 0"), (("1", "-1"), "q: must be >= 0, got -1")],
+    ids=["p-0", "q-negative"],
+)
+def test_deduce_arguments_out_of_range_name_the_argument(capsys, argv, message):
+    assert main(["deduce", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
+def test_eval_skips_quadrature_on_a_twist_beyond_its_angle_grid(capsys, tmp_path):
+    # the quadrature takes 4 angles per unit of twist, so a huge twist would
+    # allocate angle arrays of that length; the exact value is still reported
+    doc = blowup_example().to_obj()
+    doc["testforms"]["z"]["terms"][0]["factors"][0]["b"] = 10**5
+    path = tmp_path / "twist.json"
+    path.write_text(json.dumps(doc))
+    code, out = run(capsys, "eval", str(path), "--chart", "z", "--lam", "3,3,3", "--format", "json")
+    assert code == 0
+    results = json.loads(out)["results"]
+    assert results["quadrature"] == "skipped (DimensionTooLarge: twist 99999 needs 400000 angles)"
+    assert "exact_at_point" in results
 
 
 def test_exact_commands_start_without_numpy(tmp_path, blowup_file, diagonal_file):

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from fractions import Fraction
@@ -27,6 +28,7 @@ from residuelab import (
     tube_spec_from_chart,
     value_at_origin,
 )
+from residuelab.cli import main
 
 TWO_PI_I = 2j * math.pi
 
@@ -353,6 +355,27 @@ def test_third_knot_tube_integrals_and_limit_pinned():
     assert (repr(res.value), repr(res.error), res.converged) == (
         "124.58489980941064j", "1.050182163453428e-11", True,
     )
+
+
+def test_tube_command_skips_only_the_origin_value_outside_the_exact_class(capsys, tmp_path):
+    # mellin_exact rejects the 1/3 knot; the tube integral and the limit do not need it
+    factors = [Factor(0, 0, THIRD_KNOT), Factor(2, 0, THIRD_KNOT), Factor(1, 0, THIRD_KNOT)]
+    sc = diagonal_scenario([1, 2, 1], p=1, factors=factors)
+    path = tmp_path / "third-knot.json"
+    path.write_text(sc.to_json())
+    assert main(["tube", str(path), "--eps", "1/4,1/4,1/4", "--format", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    results = report["results"]
+    spec = tube_spec_from_chart(sc.charts[0], [Fraction(1, 4)] * 3)
+    tf = sc.testform(sc.charts[0].name)
+    limit = admissible_limit(spec, tf)
+    assert complex(results["tube_integral"]["re"], results["tube_integral"]["im"]) == tube_integral(spec, tf)
+    assert complex(results["admissible_limit"]["re"], results["admissible_limit"]["im"]) == limit.value
+    assert results["limit_error"] == limit.error
+    assert results["origin_value"].startswith("skipped (profile knots ('0', '1/3', '1') not in {0,1}")
+    assert [(v["name"], v["pass"]) for v in report["verdicts"]] == [
+        ("admissible-ratio-condition", True), ("limit-converged", True),
+    ]
 
 
 @pytest.mark.parametrize("ks, a", sorted(THIRD_COEFF_CHECKS))
