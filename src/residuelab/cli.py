@@ -137,6 +137,14 @@ def _fractions(text: str, flag: str, count: Optional[int] = None) -> List[Fracti
     return values
 
 
+def _complexes(values: List[Fraction], flag: str) -> List[complex]:
+    """The values of a flag that feeds a float path, as complex numbers."""
+    try:
+        return [complex(x) for x in values]
+    except OverflowError:
+        raise ScenarioError(flag, "value beyond the float range") from None
+
+
 def _chart(scenario: Scenario, name: Optional[str], flag: str = "--chart") -> ChartSpec:
     """The chart the flag names, the first chart when it names none."""
     try:
@@ -152,6 +160,7 @@ def _tube(scenario: Scenario, name: Optional[str], eps: Optional[str]) -> tuple:
         raise ScenarioError("signature.N", f"tubes take N = 1 data, got N = {sig.N}")
     chart = _chart(scenario, name)
     radii = _fractions(eps, "--eps", sig.nfactors) if eps else [Fraction(1, 100)] * sig.nfactors
+    _complexes(radii, "--eps")  # the tube paths read the radii as floats
     if any(e <= 0 for e in radii):
         raise ScenarioError("--eps", "tube radii must be positive")
     return scenario.testform(chart.name), tube_spec_from_chart(chart, radii)
@@ -209,19 +218,23 @@ def cmd_poles(args, report: Report) -> None:
             not bad,
             value=[str(f) for f in bad] if bad else "all forms pair >= 2 derivative indices",
         )
-    if all(c.name in scenario.testforms for c in scenario.charts):
-        gcert = global_certificate(scenario)
-        report.results["global"] = _cert_obj(gcert)
-        union = frozenset().union(*[c.forms for c in certs]) if certs else frozenset()
-        report.verdict(
-            "global-within-chart-union",
-            gcert.forms <= union,
-            value=[str(f) for f in sorted(gcert.forms, key=lambda f: f.sort_key())],
-        )
-        bad = shape_violations(gcert, p)
-        report.verdict("shape:global", not bad, value=[str(f) for f in bad] if bad else "ok")
-    else:
+    if not all(c.name in scenario.testforms for c in scenario.charts):
         report.results["global"] = "skipped (test forms missing for some chart)"
+        return
+    try:
+        gcert = global_certificate(scenario)
+    except ExactnessError as exc:
+        report.results["global"] = f"skipped ({exc})"
+        return
+    report.results["global"] = _cert_obj(gcert)
+    union = frozenset().union(*[c.forms for c in certs]) if certs else frozenset()
+    report.verdict(
+        "global-within-chart-union",
+        gcert.forms <= union,
+        value=[str(f) for f in sorted(gcert.forms, key=lambda f: f.sort_key())],
+    )
+    bad = shape_violations(gcert, p)
+    report.verdict("shape:global", not bad, value=[str(f) for f in bad] if bad else "ok")
 
 
 def cmd_eval(args, report: Report) -> None:
@@ -239,7 +252,7 @@ def cmd_eval(args, report: Report) -> None:
     report.results["exact_at_point"] = _token_obj(point)
     if all(x >= 2 for x in lam) and scenario.signature.n <= 3:
         try:
-            quad = mellin_quadrature(scenario, chart, [complex(x) for x in lam])
+            quad = mellin_quadrature(scenario, chart, _complexes(lam, "--lam"))
         except DimensionTooLargeError as exc:
             report.results["quadrature"] = f"skipped ({exc})"
             return
@@ -325,7 +338,7 @@ def cmd_mellin_check(args, report: Report) -> None:
     lambdas = [_fractions(tok, "--lam", scenario.signature.nfactors) for tok in args.lam]
     if any(x < 2 for lam in lambdas for x in lam):
         raise ScenarioError("--lam", "mellin-check needs every value >= 2")
-    rows = mellin_check(spec, testform, [[complex(x) for x in lam] for lam in lambdas])
+    rows = mellin_check(spec, testform, [_complexes(lam, "--lam") for lam in lambdas])
     signs = set()
     for row in rows:
         key = ",".join(str(z.real) for z in row.lam)

@@ -19,6 +19,7 @@ order, bases by decreasing moved index, sweeps until nothing changes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
@@ -65,14 +66,23 @@ class CurrentSymbol:
 def _antichain(members: Iterable) -> frozenset:
     """Drop empty members and members strictly inside another (redundant)."""
     mems = set(members)
-    return frozenset(m for m in mems if m and not any(m & o == m and m != o for o in mems))
+    kept = []
+    for m in mems:
+        if not m:
+            continue
+        for o in mems:
+            if m & o == m and m != o:
+                break
+        else:
+            kept.append(m)
+    return frozenset(kept)
 
 
 def _meet(prior: frozenset, siblings: Iterable[frozenset]) -> Tuple[frozenset, frozenset]:
     """The siblings' union (the context) and its intersection with `prior`;
     an empty context leaves nothing, so the target becomes analytic."""
-    context = _antichain(m for family in siblings for m in family)
-    return context, _antichain(a & b for a in prior for b in context)
+    context = _antichain(frozenset().union(*siblings))
+    return context, _antichain({a & b for a in prior for b in context})
 
 
 @dataclass(frozen=True)
@@ -183,13 +193,17 @@ class TraceStep:
         return _constraint(self.result_masks)
 
     def to_obj(self) -> dict:
-        return {
-            "target": _indices(self.target_mask),
-            "base": _indices(self.target_mask ^ (1 << (self.moved - 1))),
-            "moved": self.moved,
-            "context": sorted(map(_indices, self.context_masks)),
-            "result": sorted(map(_indices, self.result_masks)),
-        }
+        return _step_obj(self, _indices)
+
+
+def _step_obj(step: TraceStep, indices) -> dict:
+    return {
+        "target": indices(step.target_mask),
+        "base": indices(step.target_mask ^ (1 << (step.moved - 1))),
+        "moved": step.moved,
+        "context": sorted(map(indices, step.context_masks)),
+        "result": sorted(map(indices, step.result_masks)),
+    }
 
 
 @dataclass(frozen=True)
@@ -201,11 +215,14 @@ class ProofTrace:
     analytic: bool
 
     def to_obj(self) -> dict:
+        """The trace as JSON-ready data.  Each mask's index list is built once
+        per call and shared by the steps that read it: copy before changing."""
+        indices = cache(_indices)
         return {
             "p": self.p,
             "q": self.q,
             "analytic": self.analytic,
-            "steps": [s.to_obj() for s in self.steps],
+            "steps": [_step_obj(s, indices) for s in self.steps],
         }
 
 

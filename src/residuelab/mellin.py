@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm, prod
 from typing import Dict, Optional, Sequence, Tuple, Union
 
 from .charts import ChartSpec, Factor, Scenario, SeparableTestForm
@@ -20,8 +21,7 @@ from .leibniz import check_units, subset_determinant
 from .linform import AffineForm, _normalized
 from .merovalue import MeroValue, TokenScalar
 from .orientation import dbar_front_sign
-from .poly import Poly
-from .profiles import RadialProfile
+from .profiles import ExactnessError, RadialProfile
 
 QUAD_NODES, QUAD_ANGLES = 24, 32  # coarse quadrature pass; the fine pass doubles both
 QUAD_MAX_ANGLES = 2**16  # 4 angles per unit of twist; bounds the angle arrays (2 MB at the fine pass)
@@ -36,27 +36,34 @@ class DivergenceError(ValueError):
 
 
 def _mellin_sum(nvars: int, mu_vec: Sequence[int], shift: int, rho: RadialProfile) -> MeroValue:
-    """Sum_k c_k / (mu + shift + k + 1) as a MeroValue; mu may be the zero column."""
+    """Sum_k c_k / (s + d_k) with s = mu.L and d_k = shift + k + 1, reduced; mu
+    may be the zero column.
+
+    Over prod_k (s + d_k) the numerator is P(s) = sum_k c_k prod_{j != k} (s + d_j).
+    The forms s + d_k are parallel with distinct constants, so pairwise coprime,
+    and none divides P: at s = -d_k, P = c_k prod_{j != k} (d_j - d_k) != 0.  So
+    P(s) / prod_k (s + d_k) is written down reduced, with no division tried.
+    """
     terms = rho.mellin_terms()
+    ds = [shift + k + 1 for k, _ in terms]
+    if not any(mu_vec):
+        if ds and ds[0] <= 0:
+            raise DivergenceError(f"radial integrand t^{ds[0] - 1} has no parameter to continue in")
+        return MeroValue.const(nvars, sum(c / d for (_, c), d in zip(terms, ds)))
     if not terms:
         return MeroValue.zero(nvars)
-    total = MeroValue.zero(nvars)
-    homogeneous = not any(mu_vec)
-    for k, c in terms:
-        d = shift + k + 1
-        if homogeneous:
-            if d <= 0:
-                raise DivergenceError(
-                    f"radial integrand t^{shift + k} has no parameter to continue in"
-                )
-            total = total + MeroValue.const(nvars, QI.of(Fraction(c, d)))
-        else:
-            vec, const, g = _normalized(mu_vec, d)
-            piece = MeroValue.from_poly(
-                Poly.const(nvars, QI.of(c) / g), [(AffineForm(vec, const), 1)]
-            )
-            total = total + piece
-    return total
+    # P in integers over the common denominator D of the c_k, constant first
+    D = lcm(*(c.denominator for _, c in terms))
+    P = [0] * len(ds)
+    for (_, c), dk in zip(terms, ds):
+        row = [c.numerator * (D // c.denominator)]
+        for dj in ds:
+            if dj != dk:
+                row = [x * dj + y for x, y in zip(row + [0], [0] + row)]
+        P = [x + y for x, y in zip(P, row)]
+    forms = [_normalized(mu_vec, d) for d in ds]  # s + d_k = g_k * F_k, F_k normalized
+    den = [(AffineForm(vec, const), 1) for vec, const, _ in forms]
+    return MeroValue.in_one_form(AffineForm(tuple(mu_vec)), P, D * prod(g for _, _, g in forms), den)
 
 
 def radial_factor(nvars: int, mu_vec: Sequence[int], shift: int, rho: RadialProfile) -> MeroValue:
@@ -78,13 +85,14 @@ class PlannedTerm:
     `variables` holds, per variable x_i in order, (column, u, v, factor): the
     variable integrates |x|^(2 mu) x^u conj(x)^v rho(|x|^2) with mu the column
     paired against the parameters, and vanishes by angular selection when
-    u != v.
+    u != v.  `index` is the term's position in the test form.
     """
 
     coeff: QI
     det: int
     sign: int
     variables: Tuple[Tuple[Tuple[int, ...], int, int, Factor], ...]
+    index: int
 
 
 def term_plan(chart: ChartSpec, testform: SeparableTestForm, N: int) -> Tuple[PlannedTerm, ...]:
@@ -98,7 +106,7 @@ def term_plan(chart: ChartSpec, testform: SeparableTestForm, N: int) -> Tuple[Pl
     n, p = chart.n, chart.p
     columns = [chart.column(i) for i in range(1, n + 1)]
     plan = []
-    for term in testform.terms:
+    for index, term in enumerate(testform.terms):
         if not term.coeff or len(term.dbar_slots) != n - p:
             continue
         I = [i for i in range(1, n + 1) if i not in term.dbar_slots]
@@ -113,7 +121,7 @@ def term_plan(chart: ChartSpec, testform: SeparableTestForm, N: int) -> Tuple[Pl
             v = f.b - (0 if i in term.dbar_slots else 1)
             variables.append((columns[i - 1], u, v, f))
         sign = dbar_front_sign(I, n, term.dbar_slots)
-        plan.append(PlannedTerm(term.coeff, det, sign, tuple(variables)))
+        plan.append(PlannedTerm(term.coeff, det, sign, tuple(variables), index))
     return tuple(plan)
 
 
@@ -124,19 +132,19 @@ def mellin_exact(scenario: Scenario, chart: Union[ChartSpec, str]) -> MeroValue:
     check_units(chart)
     plan = term_plan(chart, scenario.testform(chart.name), sig.N)
     nv = sig.nfactors
-    axis_poly = Poly.const(nv, QI.one())
-    if sig.p:
-        exps = [1] * sig.p + [0] * (nv - sig.p)
-        axis_poly = Poly.monomial(nv, exps, QI.one())
+    axis = [1] * sig.p + [0] * (nv - sig.p)
     result = MeroValue.zero(nv)
     for term in plan:
-        scalar = term.coeff * (term.det * term.sign * chart.sign)
-        val = MeroValue.const(nv, scalar).mul_poly(axis_poly)
-        for column, u, v, f in term.variables:
+        val = MeroValue.monomial(nv, axis, term.coeff * (term.det * term.sign * chart.sign))
+        for j, (column, u, v, f) in enumerate(term.variables):
             if u != v:
                 val = MeroValue.zero(nv)
                 break
-            fac = radial_factor(nv, column, u, f.rho)
+            try:
+                fac = radial_factor(nv, column, u, f.rho)
+            except ExactnessError as exc:
+                path = f"testforms[{chart.name!r}].terms[{term.index}].factors[{j}].rho"
+                raise ExactnessError(f"{path}: {exc}") from None
             if fac.is_zero():
                 val = MeroValue.zero(nv)
                 break

@@ -34,7 +34,11 @@ In a product, a form of one factor's denominator can cancel only against
 the other factor's numerator.
 Evaluation modulo a prime on a form's zero hyperplane rules divisions out
 before they are tried; being a ring homomorphism, it tests a sum on its
-summands, so only the forms that pass are tried on the expanded sum.
+summands, so only the forms that pass are tried on the expanded sum.  Every
+test point shares x_j = 2j + 3 off the form's pivot, so each summand is
+reduced once per pivot variable into a memo that the forms tested on it
+share, and each form then costs one Horner pass in its pivot coordinate.
+in_one_form marks a value reduced by construction, such as a radial factor.
 """
 
 from __future__ import annotations
@@ -221,31 +225,30 @@ def _pivot(form: AffineForm) -> int:
     return next(j for j, c in enumerate(form.coeffs) if c)
 
 
-def _value_mod(terms: Terms, point: Sequence[int]) -> Tuple[int, int]:
-    """The (re, im) value of terms at point, modulo _PRIME."""
+def _residues(terms: Terms, nvars: int, pivot: int) -> List[Tuple[int, int]]:
+    """terms modulo _PRIME as a polynomial in x_pivot with every other x_j set
+    to 2j + 3: the (re, im) coefficient of each power of x_pivot, constant first."""
     P = _PRIME
-    items = list(_decoded(terms.items(), len(point)))
-    pows = []
-    for x, top in zip(point, map(max, zip(*(e for e, _ in items)))):
-        row = [1]
-        for _ in range(top):
-            row.append(row[-1] * x % P)
-        pows.append(row)
-    sre = sim = 0
-    for e, (re, im) in items:
+    layers: Dict[int, List[int]] = {}
+    for e, (re, im) in _decoded(terms.items(), nvars):
         m = 1
-        for row, k in zip(pows, e):
-            if k:
-                m = m * row[k] % P
-        sre += re * m
-        sim += im * m
-    return sre % P, sim % P
+        for j, k in enumerate(e):
+            if k and j != pivot:
+                m = m * pow(2 * j + 3, k, P) % P
+        layer = layers.setdefault(e[pivot], [0, 0])
+        layer[0] += re * m
+        layer[1] += im * m
+    return [(re % P, im % P) for re, im in (layers.get(k, (0, 0)) for k in range(max(layers, default=0) + 1))]
 
 
-def _vanishes(form: AffineForm, *parts: Tuple[Terms, int, Sequence[Tuple[AffineForm, int]]]) -> bool:
+def _vanishes(form: AffineForm,
+              *parts: Tuple[Terms, Dict[int, list], int, Sequence[Tuple[AffineForm, int]]]) -> bool:
     """Cheap necessary test for form dividing the sum of scale * terms * prod g^k
-    over the parts (terms, scale, [(g, k), ...]): evaluate it modulo a large
-    prime at a point of the form's zero hyperplane, summand by summand.
+    over the parts (terms, memo, scale, [(g, k), ...]): evaluate it modulo a
+    large prime at a point of the form's zero hyperplane, summand by summand.
+    Every such point has x_j = 2j + 3 off the form's pivot, so a summand is
+    reduced once per pivot variable (`_residues`, kept in its memo, a dict by
+    pivot) and each form costs one Horner pass in its pivot coordinate.
     Divisibility forces a zero value; a zero value may still be a false
     positive, and callers confirm it with the exact division.
     """
@@ -256,13 +259,19 @@ def _vanishes(form: AffineForm, *parts: Tuple[Terms, int, Sequence[Tuple[AffineF
         return True  # cannot decide modulo P; let the exact division settle it
     pt = [2 * j + 3 for j in range(form.nvars)]
     rest = form.const + sum(c * pt[j] for j, c in enumerate(form.coeffs) if c and j != pivot)
-    pt[pivot] = -rest * pow(a, -1, P) % P
+    x = pt[pivot] = -rest * pow(a, -1, P) % P
     sre = sim = 0
-    for terms, scale, forms in parts:
+    for terms, memo, scale, forms in parts:
         m = scale % P
         for g, k in forms:
             m = m * pow(g.const + sum(map(mul, g.coeffs, pt)), k, P) % P
-        re, im = _value_mod(terms, pt)
+        layers = memo.get(pivot)
+        if layers is None:
+            layers = memo[pivot] = _residues(terms, form.nvars, pivot)
+        re = im = 0
+        for cr, ci in reversed(layers):
+            re = (re * x + cr) % P
+            im = (im * x + ci) % P
         sre += re * m
         sim += im * m
     return sre % P == 0 and sim % P == 0
@@ -304,13 +313,15 @@ def _divide(terms: Terms, form: AffineForm) -> Optional[Terms]:
 
 
 def _cancel(terms: Terms, den: Dict[AffineForm, int], forms: Iterable[AffineForm]) -> Terms:
-    """Divide each of `forms` out of terms as often as den allows, lowering den."""
+    """Divide each of `forms` out of terms as often as den allows, lowering den;
+    the forms share one filter memo, reset with each quotient."""
+    memo: Dict[int, list] = {}
     for f in forms:
-        while den[f] and _vanishes(f, (terms, 1, ())):
+        while den[f] and _vanishes(f, (terms, memo, 1, ())):
             q = _divide(terms, f)
             if q is None:
                 break
-            terms = q
+            terms, memo = q, {}
             den[f] -= 1
     return terms
 
@@ -332,8 +343,8 @@ def _frac_obj(x: int, content: int) -> List[int]:
 
 
 class MeroValue:
-    """Build values with zero, const or from_poly; the constructor takes the
-    integer representation as is."""
+    """Build values with zero, const, monomial, in_one_form or from_poly; the
+    constructor takes the integer representation as is."""
 
     __slots__ = ("nvars", "den", "token_pow", "_terms", "_content", "_reduced", "_num")
 
@@ -373,10 +384,27 @@ class MeroValue:
 
     @staticmethod
     def const(nvars: int, c, token_pow: int = 0) -> "MeroValue":
+        return MeroValue.monomial(nvars, (0,) * nvars, c).mul_token(token_pow)
+
+    @staticmethod
+    def monomial(nvars: int, exps: Sequence[int], c) -> "MeroValue":
+        """c * L^exps."""
         re, im, d = _scalar(c)
         if not (re or im):
             return MeroValue.zero(nvars)
-        return MeroValue(nvars, {0: (re, im)}, d, (), token_pow)
+        return MeroValue(nvars, {_key(exps): (re, im)}, d)
+
+    @staticmethod
+    def in_one_form(form: AffineForm, coeffs: Sequence[int], content: int, den) -> "MeroValue":
+        """sum_i coeffs[i] * form^i / content / prod den, marked reduced: the
+        caller vouches that no form of den divides the numerator."""
+        terms: Terms = {}
+        for c in reversed(coeffs):  # Horner in the form
+            terms = _add(_times_forms(terms, [(form, 1)]), {0: (c, 0)} if c else {})
+        if content < 0:
+            terms, content = _scale(terms, -1), -content
+        terms, content = _canon(terms, content)
+        return MeroValue(form.nvars, terms, content, _merge_dens(den), 0, True)
 
     @staticmethod
     def from_poly(num: Poly, den=(), token_pow: int = 0) -> "MeroValue":
@@ -413,7 +441,7 @@ class MeroValue:
         terms, content = _canon(_add(_scale(na, cb // g), _scale(nb, ca // g)), ca // g * cb)
         if not terms:
             return MeroValue.zero(self.nvars)
-        pa, pb = (a._terms, cb // g, ka), (b._terms, ca // g, kb)
+        pa, pb = (a._terms, {}, cb // g, ka), (b._terms, {}, ca // g, kb)
         same = [f for f, m in da.items() if db.get(f) == m and _vanishes(f, pa, pb)]
         return MeroValue._canonical(self.nvars, terms, content, union, self.token_pow, same)
 
@@ -452,9 +480,6 @@ class MeroValue:
         if self.is_zero():
             return self
         return MeroValue(self.nvars, self._terms, self._content, self.den, self.token_pow + k, self._reduced)
-
-    def mul_poly(self, p: Poly) -> "MeroValue":
-        return self * MeroValue.from_poly(p)
 
     def reduced(self) -> "MeroValue":
         """Cancel every denominator form dividing the numerator; idempotent."""

@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from residuelab import QI, AffineForm, MeroValue, blowup_example, cli, diagonal_scenario
+from residuelab import QI, AffineForm, MeroValue, RadialProfile, blowup_example, cli, diagonal_scenario
+from residuelab.charts import Factor
 from residuelab.cli import main
 from residuelab.deduction import StalledError
 from residuelab.extforms import PolyForm, form_to_obj
@@ -281,6 +282,66 @@ def test_zero_denominator_flag_exit_2(capsys, blowup_file, diagonal_file, argv, 
 def test_tube_flag_errors_name_the_flag(capsys, diagonal_file, argv, message):
     assert main(["tube", diagonal_file, *argv]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("tube", "{diagonal}", "--eps", "1e400,1"), "--eps"),
+        (("eval", "{blowup}", "--lam", "1e400,3,3"), "--lam"),
+        (("mellin-check", "{diagonal}", "--lam", "1e400,3"), "--lam"),
+    ],
+    ids=["tube", "eval", "mellin-check"],
+)
+def test_flag_values_beyond_the_float_range_name_the_flag(capsys, blowup_file, diagonal_file, argv, flag):
+    argv = [a.format(blowup=blowup_file, diagonal=diagonal_file) for a in argv]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {flag}: value beyond the float range\n"
+    assert captured.out == ""
+
+
+def test_eval_takes_a_point_beyond_the_float_range_when_no_float_path_reads_it(capsys, blowup_file):
+    # Re(lambda) < 2 skips the quadrature, so the exact value alone is reported
+    code, out = run(capsys, "eval", blowup_file, "--lam", "1e400,1,1", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["results"]["quadrature"].startswith("skipped")
+
+
+THIRD_KNOT = RadialProfile(
+    (Fraction(0), Fraction(1, 3), Fraction(1)), ((Fraction(1), Fraction(1, 2)), (Fraction(3, 4),))
+)
+THIRD_KNOT_ERROR = (
+    "testforms['diag'].terms[0].factors[1].rho: profile knots ('0', '1/3', '1') not in {0,1}: "
+    "Mellin transform is not a rational function"
+)
+
+
+@pytest.fixture()
+def third_knot_file(tmp_path):
+    # the exact engine reads factor 0's unit bump first, then factor 1's 1/3-knot profile
+    factors = [Factor(0, 0, RadialProfile.bump(2)), Factor(1, 0, THIRD_KNOT)]
+    path = tmp_path / "third-knot.json"
+    path.write_text(diagonal_scenario([1, 1], p=1, factors=factors).to_json())
+    return str(path)
+
+
+def test_poles_skips_only_the_global_certificate_outside_the_exact_class(capsys, third_knot_file):
+    code, out = run(capsys, "poles", third_knot_file, "--format", "json")
+    assert code == 0
+    results = json.loads(out)["results"]
+    assert results["chart:diag"]["forms"] == []
+    assert results["global"] == f"skipped ({THIRD_KNOT_ERROR})"
+
+
+@pytest.mark.parametrize(
+    "argv", [["eval", "--lam", "3,3"], ["global"], ["mellin-check", "--lam", "3,3"]], ids=["eval", "global", "mellin-check"]
+)
+def test_exactness_errors_name_the_profile_field(capsys, third_knot_file, argv):
+    assert main([argv[0], third_knot_file, *argv[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {THIRD_KNOT_ERROR}\n"
+    assert captured.out == ""
 
 
 def test_mellin_check_lam_length_exit_2(capsys, diagonal_file):

@@ -1,7 +1,9 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from residuelab import (
     ChartSpec,
@@ -27,12 +29,13 @@ from residuelab import (
     value_at_origin,
 )
 from residuelab.linform import AffineForm
-from residuelab.mellin import DimensionTooLargeError, _gauss_legendre, radial_factor
+from residuelab.mellin import DimensionTooLargeError, DivergenceError, _gauss_legendre, radial_factor
 from residuelab.merovalue import PoleAtOriginError
 from residuelab.poly import Poly
 
 from affine_division import as_poly
 from corpus import random_chart_scenario
+from engine_reference import mellin_sum_by_additions
 
 
 def simple_scenario(p, q, k=1, N=1, a=None, b=None, rho=None, slots=None):
@@ -91,6 +94,33 @@ def test_exactness_error_for_nonunit_knots():
     sc = simple_scenario(0, 1, a=1, b=0, rho=rho, slots={1})
     with pytest.raises(ExactnessError):
         mellin_exact(sc, "c")
+
+
+@st.composite
+def radial_case(draw):
+    """A column (zero, negative or non-primitive entries), a shift that puts
+    d_k = shift + k + 1 on both sides of 0, and a profile on [0, 1] with at
+    most 9 Taylor coefficients, some of them zero."""
+    nvars = draw(st.integers(1, 3))
+    column = [draw(st.integers(-3, 3)) * draw(st.sampled_from([1, 1, 2, 3])) for _ in range(nvars)]
+    coeffs = draw(st.lists(st.builds(Fraction, st.integers(-6, 6), st.integers(1, 7)), min_size=1, max_size=9))
+    return nvars, column, draw(st.integers(-10, 3)), RadialProfile.on_unit(coeffs)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(radial_case())
+def test_radial_factor_matches_the_sum_by_additions(case):
+    # the closed form is written down reduced; the reference reduces K - 1 sums
+    nvars, column, shift, rho = case
+    try:
+        want = (mellin_sum_by_additions(nvars, column, shift, rho) * QI.of(-1)).mul_token(1)
+    except DivergenceError as exc:
+        with pytest.raises(DivergenceError, match=re.escape(str(exc))):
+            radial_factor(nvars, column, shift, rho)
+        return
+    got = radial_factor(nvars, column, shift, rho)
+    assert got.to_obj() == want.to_obj()
+    assert got == want and got.reduced() is got
 
 
 # --- closed forms ------------------------------------------------------------
@@ -186,7 +216,7 @@ def test_blowup_chart_inner_value_at_origin():
     sc = blowup_example()
     v = mellin_exact(sc, "z")
     pair = LinForm.normalize((1, 1, 0))
-    inner = v.mul_poly(as_poly(pair)) * MeroValue.from_poly(
+    inner = v * MeroValue.from_poly(as_poly(pair)) * MeroValue.from_poly(
         Poly.const(3, QI.one()), [(AffineForm((1, 0, 0)), 1)]
     )
     assert value_at_origin(inner) == token(-1, 3)

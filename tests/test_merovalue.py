@@ -5,18 +5,24 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from residuelab import AffineForm, LinForm, MeroValue, QI
+from residuelab import merovalue
 from residuelab.merovalue import (
+    _PRIME,
     HigherOrderPoleError,
     MeroError,
     PoleAtOriginError,
     TokenPowerError,
+    _cancel,
     _decoded,
     _divide,
     _key,
+    _times_forms,
+    _vanishes,
 )
 from residuelab.poly import Poly
 
 from affine_division import as_poly, deg_in, divides_affine, divmod_affine
+from engine_reference import vanishes_at_point
 
 
 def lam(n, j):
@@ -322,3 +328,60 @@ def test_key_rejects_exponents_that_do_not_fit(e):
         _key(e)
     with pytest.raises(MeroError):
         MeroValue.from_poly(Poly.monomial(len(e), e, QI.one()))
+
+
+@st.composite
+def filter_case(draw):
+    """Forms and summands (terms, scale, [(g, k), ...]) over 1-3 variables.  A
+    summand may carry a tested form as a factor of its terms or among its
+    multipliers, so that verdicts of both kinds occur, and a form may have a
+    pivot coefficient that is 0 modulo the prime."""
+    n = draw(st.integers(1, 3))
+    ints = st.integers(-40, 40)
+
+    def form():
+        coeffs = [draw(st.integers(-3, 3)) for _ in range(n)]
+        pivot = draw(st.integers(0, n - 1))
+        coeffs[pivot] = coeffs[pivot] or 1
+        if draw(st.integers(0, 5)) == 0:
+            coeffs[:pivot] = [0] * pivot
+            coeffs[pivot] = _PRIME * draw(st.sampled_from([1, -2]))
+        return AffineForm(tuple(coeffs), draw(st.integers(-4, 4)))
+
+    forms = [form() for _ in range(draw(st.integers(1, 4)))]
+    parts = []
+    for _ in range(draw(st.integers(1, 3))):
+        terms = {}
+        for _ in range(draw(st.integers(1, 6))):
+            e = tuple(draw(st.integers(0, 3)) for _ in range(n))
+            terms[_key(e)] = (draw(ints), draw(ints))
+        terms = {e: c for e, c in terms.items() if c != (0, 0)} or {0: (1, 0)}
+        if draw(st.booleans()):
+            terms = _times_forms(terms, [(draw(st.sampled_from(forms)), 1)])
+        multipliers = [(draw(st.sampled_from(forms + [form()])), draw(st.integers(0, 2)))
+                       for _ in range(draw(st.integers(0, 2)))]
+        parts.append((terms, draw(st.sampled_from([1, 3, -7, _PRIME + 2])), multipliers))
+    return forms, parts
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(filter_case())
+def test_property_layered_filter_matches_the_full_point_evaluation(case):
+    # one memo per summand, shared by every form in turn, as in a sum
+    forms, parts = case
+    memos = [{} for _ in parts]
+    layered = [(terms, memo, scale, gs) for (terms, scale, gs), memo in zip(parts, memos)]
+    for f in forms:
+        assert _vanishes(f, *layered) == vanishes_at_point(f, *parts)
+
+
+def test_cancel_retests_each_quotient_with_a_fresh_memo(monkeypatch):
+    """After a division the filter reads the quotient, whose residues rule a
+    second division by the same form out before it is tried."""
+    f = AffineForm.normalize((1, 2), 1)
+    q = MeroValue.from_poly(lam(2, 1) * lam(2, 1) + Poly.const(2, QI.of(5)))._terms
+    tried = []
+    monkeypatch.setattr(merovalue, "_divide", lambda terms, g: tried.append(g) or _divide(terms, g))
+    den = {f: 2}
+    assert _cancel(_times_forms(q, [(f, 1)]), den, [f]) == q
+    assert den == {f: 1} and tried == [f]

@@ -372,7 +372,9 @@ def test_tube_command_skips_only_the_origin_value_outside_the_exact_class(capsys
     assert complex(results["tube_integral"]["re"], results["tube_integral"]["im"]) == tube_integral(spec, tf)
     assert complex(results["admissible_limit"]["re"], results["admissible_limit"]["im"]) == limit.value
     assert results["limit_error"] == limit.error
-    assert results["origin_value"].startswith("skipped (profile knots ('0', '1/3', '1') not in {0,1}")
+    assert results["origin_value"].startswith(
+        "skipped (testforms['diag'].terms[0].factors[0].rho: profile knots ('0', '1/3', '1') not in {0,1}"
+    )
     assert [(v["name"], v["pass"]) for v in report["verdicts"]] == [
         ("admissible-ratio-condition", True), ("limit-converged", True),
     ]
