@@ -39,7 +39,7 @@ from .extforms import (
 from .gaussian import QI
 from .leibniz import chart_certificate, global_certificate, shape_violations
 from .linform import AffineForm
-from .mellin import DimensionTooLargeError, mellin_quadrature
+from .mellin import DimensionTooLargeError, FloatRangeError, mellin_quadrature
 from .mellin import chart_sum, mellin_exact, residue_on, value_at_origin
 from .merovalue import HigherOrderPoleError, PoleAtPointError, TokenScalar
 from .profiles import ExactnessError, InputError
@@ -160,9 +160,11 @@ def _tube(scenario: Scenario, name: Optional[str], eps: Optional[str]) -> tuple:
         raise ScenarioError("signature.N", f"tubes take N = 1 data, got N = {sig.N}")
     chart = _chart(scenario, name)
     radii = _fractions(eps, "--eps", sig.nfactors) if eps else [Fraction(1, 100)] * sig.nfactors
-    _complexes(radii, "--eps")  # the tube paths read the radii as floats
+    floats = _complexes(radii, "--eps")  # the tube paths read the radii as floats
     if any(e <= 0 for e in radii):
         raise ScenarioError("--eps", "tube radii must be positive")
+    if not all(z.real for z in floats):
+        raise ScenarioError("--eps", "tube radii must be positive as floats: 2^-1075 or less rounds to 0.0")
     return scenario.testform(chart.name), tube_spec_from_chart(chart, radii)
 
 
@@ -256,6 +258,8 @@ def cmd_eval(args, report: Report) -> None:
         except DimensionTooLargeError as exc:
             report.results["quadrature"] = f"skipped ({exc})"
             return
+        except FloatRangeError as exc:
+            raise ScenarioError("--lam", str(exc)) from None
         ref = point.as_complex()
         rel = abs(quad.value - ref) / max(abs(ref), 1e-300)
         report.results["quadrature"] = _complex_obj(quad.value)

@@ -31,6 +31,10 @@ class DimensionTooLargeError(ValueError):
     pass
 
 
+class FloatRangeError(ValueError):
+    """The quadrature leaves the float range: its integrand overflows at the parameter point."""
+
+
 class DivergenceError(ValueError):
     """Integrand not locally integrable and no parameter available to continue in."""
 
@@ -272,7 +276,14 @@ def mellin_quadrature(
     nt = max(QUAD_ANGLES, 4 * max_twist)
     if nt > QUAD_MAX_ANGLES:
         raise DimensionTooLargeError(f"DimensionTooLarge: twist {max_twist - 1} needs {nt} angles")
+    import cmath
+
+    import numpy as np
+
     plan = term_plan(chart, testform, sig.N)
-    coarse = _quad_total(plan, chart.sign, sig.p, lam, QUAD_NODES, nt)
-    fine = _quad_total(plan, chart.sign, sig.p, lam, 2 * QUAD_NODES, 2 * nt)
+    with np.errstate(all="ignore"):  # an overflow shows as a non-finite value, checked below
+        coarse = _quad_total(plan, chart.sign, sig.p, lam, QUAD_NODES, nt)
+        fine = _quad_total(plan, chart.sign, sig.p, lam, 2 * QUAD_NODES, 2 * nt)
+    if not (cmath.isfinite(coarse) and cmath.isfinite(fine)):
+        raise FloatRangeError("the quadrature leaves the float range at this point")
     return QuadResult(fine, abs(fine - coarse))

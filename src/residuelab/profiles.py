@@ -9,11 +9,12 @@ integrals); the exact evaluator rejects them with ExactnessError.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
-from typing import Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .gaussian import _frac
 
@@ -26,26 +27,24 @@ class ExactnessError(InputError):
     """Profile not in the exactly integrable class (knots must be 0 and 1)."""
 
 
-def _float_comparable(k: Fraction):
-    # an int, or a float equal to k, else k itself: each compares with a float
-    # exactly, where float(1/3) would not (float(1/3) < 1/3, not < float(1/3))
-    if k.denominator == 1:
-        return k.numerator
+def _ceil_float(k: Fraction, strict: bool = False) -> float:
+    """The smallest float >= k (> k when `strict`): for a float t, t < k exactly
+    when t < _ceil_float(k), and t > k exactly when t >= _ceil_float(k, True).
+    float(k) alone would not do: float(1/3) < 1/3, yet not < float(1/3)."""
     f = float(k)
-    return f if Fraction(f) == k else k
+    return math.nextafter(f, math.inf) if f < k or (strict and f == k) else f
 
 
 def _piece_weights(piece: Tuple[Fraction, ...], b: int) -> Tuple[int, Tuple[int, ...]]:
     """A common denominator L and integer weights w_k = c_k*L/(b+k+1), so that the
     piece's integral of t^b * rho is sum_k w_k * t^(b+k+1) / L."""
     es = range(b + 1, b + 1 + len(piece))
-    lcd = lcm(*(c.denominator * e for c, e in zip(piece, es) if c))
+    lcd = math.lcm(*(c.denominator * e for c, e in zip(piece, es) if c))
     return lcd, tuple(c.numerator * (lcd // (c.denominator * e)) for c, e in zip(piece, es))
 
 
-def _power_sum(weights: Tuple[int, ...], b: int, x: Fraction) -> Tuple[int, int]:
-    """sum_k weights[k] * x^(b+k+1) as an integer numerator and denominator."""
-    n, d = x.numerator, x.denominator
+def _power_sum(weights: Tuple[int, ...], b: int, n: int, d: int) -> Tuple[int, int]:
+    """sum_k weights[k] * x^(b+k+1) at x = n/d, as an integer numerator and denominator."""
     acc, dpow = 0, 1
     for w in reversed(weights):
         acc = acc * n + w * dpow
@@ -104,30 +103,40 @@ class RadialProfile:
 
     @cached_property
     def _float_view(self):
-        """Knots that compare with a float exactly, and each piece's float coefficients."""
-        pieces = tuple(tuple(map(float, p)) for p in self.pieces)
-        return tuple(map(_float_comparable, self.knots)), pieces
-
-    @cached_property
-    def _tail_weights(self) -> dict:
-        return {}  # b -> one `_piece_weights` per piece, filled by moment_tail
+        """Float thresholds, one per knot, then one for the support end, and each
+        piece's float coefficients: for a float t, t < knots[i] exactly when
+        t < lows[i], and t > knots[-1] exactly when t >= end."""
+        lows = tuple(map(_ceil_float, self.knots))
+        end = _ceil_float(self.knots[-1], True) if self.knots else math.inf
+        return lows, end, tuple(tuple(map(float, p)) for p in self.pieces)
 
     def value(self, t):
         """Evaluate at an exact rational (int or Fraction; exact result) or a float."""
-        if isinstance(t, int):
-            t = Fraction(t)
-        knots, pieces = (self.knots, self.pieces) if isinstance(t, Fraction) else self._float_view
+        if not isinstance(t, (int, Fraction)):
+            return self.values((t,))[0]
+        t = Fraction(t)
+        knots = self.knots
         if not knots or t < knots[0] or t > knots[-1]:
             return 0 * t
-        idx = len(knots) - 2
-        for j in range(len(knots) - 1):
-            if t < knots[j + 1]:
-                idx = j
-                break
         acc = 0 * t
-        for c in reversed(pieces[idx]):
+        for c in reversed(self.pieces[min(bisect_right(knots, t), len(self.pieces)) - 1]):
             acc = acc * t + c
         return acc
+
+    def values(self, ts: Sequence[float]) -> List[float]:
+        """rho at each float t, in floats: Horner's rule on the float coefficients
+        of the piece holding t (the last piece at the support end), 0 outside."""
+        lows, end, pieces = self._float_view
+        # the piece by the count of thresholds <= t, which is >= 1 on the support
+        by_count = (None,) + pieces + pieces[-1:]
+        out = []
+        for t in ts:
+            acc = 0 * t
+            if lows and not (t < lows[0] or t >= end):
+                for c in reversed(by_count[bisect_right(lows, t)]):
+                    acc = acc * t + c
+            out.append(acc)
+        return out
 
     def value_at_zero(self) -> Fraction:
         if not self.knots or self.knots[0] != 0 or not self.pieces[0]:
@@ -179,23 +188,36 @@ class RadialProfile:
     def scale(self, c) -> "RadialProfile":
         return self.mul_poly([c])
 
-    def moment_tail(self, b: int, t0: Fraction) -> Fraction:
-        """Exact integral of t^b * rho(t) over [max(t0, 0), support end], summed in integers."""
-        t0 = t0 if isinstance(t0, Fraction) else Fraction(t0)
-        weights = self._tail_weights.get(b)
-        if weights is None:
-            weights = self._tail_weights[b] = tuple(_piece_weights(p, b) for p in self.pieces)
-        num, den = 0, 1
-        for j, (lcd, w) in enumerate(weights):
-            lo = max(self.knots[j], t0)
-            hi = self.knots[j + 1]
-            if lo >= hi:
-                continue
-            hn, hd = _power_sum(w, b, hi)
-            ln, ld = _power_sum(w, b, lo)
-            num = num * lcd * hd * ld + (hn * ld - ln * hd) * den
-            den *= lcd * hd * ld
-        return Fraction(num, den)
+    def moment_tail(self, b: int, t0) -> Fraction:
+        """Exact integral of t^b * rho(t) over [t0, support end], summed in integers."""
+        return Fraction(*self._tail_ratios(b, (t0,))[0])
+
+    def _tail_ratios(self, b: int, radii) -> List[Tuple[int, int]]:
+        """`moment_tail` from each radius (an int, a Fraction or a float, read
+        exactly) as an integer numerator over a positive denominator: dividing
+        them rounds the exact tail to a float once, correctly."""
+        knots, lows = self.knots, self._float_view[0]
+        weights = [_piece_weights(p, b) for p in self.pieces]
+        # From r in piece j the tail is heads[j] - W_j(r)/L_j, with W_j/L_j the
+        # piece's antiderivative; `below` is the tail from the support start.
+        heads, below = [None] * len(weights), Fraction(0)
+        for j in reversed(range(len(weights))):
+            lcd, w = weights[j]
+            head = below + Fraction(*_power_sum(w, b, *knots[j + 1].as_integer_ratio())) / lcd
+            heads[j] = head.numerator * lcd, head.denominator * lcd, head.denominator
+            below = head - Fraction(*_power_sum(w, b, *knots[j].as_integer_ratio())) / lcd
+        out = []
+        for r in radii:
+            i = bisect_right(lows if isinstance(r, float) else knots, r)
+            if i == 0:
+                out.append((below.numerator, below.denominator))
+            elif i > len(weights):
+                out.append((0, 1))
+            else:
+                hn, hd, den = heads[i - 1]
+                wn, wd = _power_sum(weights[i - 1][1], b, *r.as_integer_ratio())
+                out.append((hn * wd - wn * den, hd * wd))
+        return out
 
     def moment(self, b: int) -> Fraction:
         return self.moment_tail(b, Fraction(0))

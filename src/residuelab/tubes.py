@@ -6,7 +6,11 @@ variable and no Jacobian, with one radius per factor.  Its integral factors
 into one-variable circle and exterior integrals (the N = 1 integrals, times
 the chart's sign), enough to exercise the Mellin identity and the limit
 values the exact engine predicts.  `tube_integral`, `admissible_limit` and
-`mellin_check` all read one list of the terms angular selection keeps.
+`mellin_check` all read one list of the terms angular selection keeps, and
+evaluate each term's one-variable factors with `_tube_factors` over every
+radius they need at once: one radius, all samples of a path, or all
+quadrature nodes of a factor row.  Each radius gets the floats, bit for bit,
+of evaluating it alone.
 """
 
 from __future__ import annotations
@@ -51,6 +55,8 @@ class TubeSpec:
             raise ValueError(f"expected {len(rows)} tube radii")
         if any(e <= 0 for e in self.eps):
             raise ValueError("tube radii must be positive")
+        if any(float(e) == 0 for e in self.eps):  # the tube paths read radii as floats
+            raise ValueError("tube radii must be positive as floats: 2^-1075 or less rounds to 0.0")
 
 
 def tube_spec_from_chart(chart: ChartSpec, eps: Sequence[Fraction]) -> TubeSpec:
@@ -86,53 +92,65 @@ def tube_integral(spec: TubeSpec, testform: SeparableTestForm) -> complex:
     with the block sign of moving the circle directions in front of the
     ambient orientation and one flip per residue factor.
     """
-    return _tube_value(_tube_terms(spec.chart, testform), spec.chart.p, spec.eps)
+    return _tube_values(_tube_terms(spec.chart, testform), spec.chart.p, [spec.eps])[0]
 
 
-def _tube_value(terms, p: int, eps: Sequence[Fraction]) -> complex:
-    """Tube integral of the selected terms at the radii `eps`."""
-    total = 0j
-    for val, variables in terms:
-        for k, j, f in variables:
-            val *= _tube_factor(k, j, f, p, None if j is None else eps[j])
-            if not val:
-                break
-        total += val
-    return complex(total)
+def _tube_values(terms, p: int, epss: Sequence[Sequence]) -> List[complex]:
+    """Tube integral of the selected terms at each tuple of radii in `epss`;
+    a sample's term stops at its first factor that makes it zero."""
+    factors = [
+        [_tube_factors(k, j, f, p, epss if j is None else [eps[j] for eps in epss]) for k, j, f in variables]
+        for _, variables in terms
+    ]
+    out = []
+    for i in range(len(epss)):
+        total = 0j
+        for (val, _), xs in zip(terms, factors):
+            for x in xs:
+                val *= x[i]
+                if not val:
+                    break
+            total += val
+        out.append(complex(total))
+    return out
 
 
-def _tube_factor(k: int, j: Optional[int], f: Factor, p: int, eps) -> complex:
+def _tube_factors(k: int, j: Optional[int], f: Factor, p: int, radii: Sequence) -> List[complex]:
     """One variable's factor of a selected tube term, x^k on factor row j, at
-    that row's radius `eps`: a circle (j < p), an exterior (j >= p), or the
-    full plane of a spectator (j None; `k` and `eps` unused).  It depends on
-    no other radius."""
+    each of that row's radii: a circle (j < p), an exterior (j >= p), or the
+    full plane of a spectator (j None; `k` unused, and of `radii` only their
+    count).  The profile is set up once per call; each radius then costs the
+    float operations, and gets the bits, of evaluating it alone."""
+    rho, b = f.rho, f.b
     if j is None:
-        return -2j * math.pi * float(f.rho.moment(f.a))
+        return [-2j * math.pi * float(rho.moment(f.a))] * len(radii)
     if j < p:
         # integral over |x|^(2k) = eps of x^a conj(x)^b rho / x^k dx
-        t0 = float(eps) ** (1.0 / k)
-        return 2j * math.pi * t0 ** f.b * f.rho.value(t0)
+        t0s = [float(r) ** (1.0 / k) for r in radii]
+        circle = 2j * math.pi
+        return [circle * t0**b * v for t0, v in zip(t0s, rho.values(t0s))]
+    exterior = -2j * math.pi
     if k == 1:
-        tail = float(f.rho.moment_tail(f.b, Fraction(eps)))
-    else:
-        tail = _moment_tail_float(f.rho, f.b, float(eps) ** (1.0 / k))
-    return -2j * math.pi * tail
-
-
-def _moment_tail_float(rho, b: int, t0: float) -> float:
-    knots, pieces = rho._float_view
-    total = 0.0
-    for j, piece in enumerate(pieces):
-        lo = max(float(knots[j]), t0)
-        hi = float(knots[j + 1])
-        if lo >= hi:
-            continue
-        for k, c in enumerate(piece):
-            if not c:
+        # exact tail, rounded once
+        return [exterior * (num / den) for num, den in rho._tail_ratios(b, radii)]
+    # k >= 2: the tail from t0 = eps^(1/k) in floats, each piece's hi^e computed once
+    knots = [float(x) for x in rho.knots]
+    pieces = [
+        (lo, hi, [(c, b + i + 1, hi ** (b + i + 1)) for i, c in enumerate(piece) if c])
+        for lo, hi, piece in zip(knots, knots[1:], rho._float_view[2])
+    ]
+    out = []
+    for r in radii:
+        t0 = float(r) ** (1.0 / k)
+        tail = 0.0
+        for lo, hi, terms in pieces:
+            lo = max(lo, t0)
+            if lo >= hi:
                 continue
-            e = b + k + 1
-            total += c * (hi**e - lo**e) / e
-    return total
+            for c, e, hi_e in terms:
+                tail += c * (hi_e - lo**e) / e
+        out.append(exterior * tail)
+    return out
 
 
 @dataclass(frozen=True)
@@ -184,8 +202,7 @@ def admissible_limit(
     if not path.ratio_condition_ok():
         raise ValueError("path does not satisfy the admissible ratio condition")
     ts = [LIMIT_T0 * Fraction(1, 2) ** j for j in range(samples)]
-    terms = _tube_terms(spec.chart, testform)
-    vals = [_tube_value(terms, spec.chart.p, path.eps_at(t)) for t in ts]
+    vals = _tube_values(_tube_terms(spec.chart, testform), spec.chart.p, [path.eps_at(t) for t in ts])
     seq = list(vals)
     # iterated Aitken acceleration; geometric t-sampling makes power-law
     # corrections geometric, which Aitken removes
@@ -266,21 +283,31 @@ def mellin_check(
         k = sum(row)  # a diagonal row's one nonzero exponent
         knots = {x for term in testform.terms for x in term.factors[row.index(k)].rho.knots}
         supports.append(sorted({0.0} | {float(x) ** k for x in knots}))
+    # each factor row's panels (Gauss-Legendre nodes and weights), and the
+    # selected terms' factor values at all of a row's nodes, which no lambda reads
     gl_nodes, gl_w = _gauss_legendre(40)
+    size = len(gl_nodes)
+    panels = [
+        [(0.5 * (b - a) * gl_nodes + 0.5 * (b + a), 0.5 * (b - a) * gl_w) for a, b in _panels(support)]
+        for support in supports
+    ]
+    nodes = [[x for s, _ in row for x in s.tolist()] for row in panels]
+    factors = [
+        [_tube_factors(k, j, f, chart.p, [None] if j is None else nodes[j]) for k, j, f in variables]
+        for _, variables in terms
+    ]
 
     rows = []
     for lam in lambdas:
         total = 0j
-        for val, variables in terms:
-            for k, j, f in variables:
+        for (val, variables), xs in zip(terms, factors):
+            for (_, j, _), x in zip(variables, xs):
                 if j is None:
-                    val *= _tube_factor(k, None, f, chart.p, None)
+                    val *= x[0]
                     continue
                 transform = 0j
-                for a, b in _panels(supports[j]):
-                    s = 0.5 * (b - a) * gl_nodes + 0.5 * (b + a)
-                    w = 0.5 * (b - a) * gl_w
-                    vals = np.array([_tube_factor(k, j, f, chart.p, x) for x in s])
+                for i, (s, w) in enumerate(panels[j]):
+                    vals = np.array(x[i * size : (i + 1) * size])
                     transform += np.sum(w * vals * (lam[j] * s ** (lam[j] - 1)))
                 val *= transform
             total += val

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -298,6 +299,25 @@ def test_flag_values_beyond_the_float_range_name_the_flag(capsys, blowup_file, d
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.err == f"error: {flag}: value beyond the float range\n"
+    assert captured.out == ""
+
+
+def test_tube_radius_that_rounds_to_zero_names_the_flag(capsys, diagonal_file):
+    # 1e-400 is a positive rational, but the tube paths would read it as 0.0
+    assert main(["tube", diagonal_file, "--eps", "1e-400,1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: --eps: tube radii must be positive as floats: 2^-1075 or less rounds to 0.0\n"
+    assert captured.out == ""
+
+
+def test_eval_quadrature_beyond_the_float_range_names_the_flag(capsys, blowup_file):
+    # each lambda is a finite float, but the quadrature's integrand overflows;
+    # it used to warn, report NaN and fail the exact-vs-quadrature verdict
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["eval", blowup_file, "--lam", "1e300,1e300,1e300"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: --lam: the quadrature leaves the float range at this point\n"
     assert captured.out == ""
 
 

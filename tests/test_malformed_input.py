@@ -4,13 +4,17 @@ Each example takes a valid document and a replacement: a random JSON value,
 or each field's own number as a JSON float.  It replaces one field at a time,
 at every depth, and checks that the parsers either return or raise
 ScenarioError, and that the CLI exits 0, 1 or 2 on the result, never 3.
+A second property mutates the flag strings `--eps`, `--lam` and `--point`
+of valid runs in the same way.
 """
 
 import contextlib
 import io
 import json
+import warnings
 from fractions import Fraction
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from residuelab import blowup_example, diagonal_scenario, parse_scenario
@@ -107,3 +111,67 @@ def test_one_bad_field_is_input_error_never_engine_fault(tmp_path, name, value):
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
                 code = main([argv[0], str(file), *argv[1:], "--format", "json"])
             assert code in (0, 1, 2), (path, value, argv, err.getvalue())
+
+
+# each flag string a float or exact path reads, with a valid value and its run
+FLAG_RUNS = [
+    (["eval", "blowup", "--lam"], "3,3,3"),
+    (["residue", "blowup", "--form", "1,1,0", "--point"], "1/3,-1/3,1/5"),
+    (["tube", "diagonal", "--eps"], "1/4,1/100"),
+    (["mellin-check", "diagonal", "--lam"], "3,3"),
+]
+# values at the edges of the float range and of the rationals
+EDGE_TOKENS = ["1e400", "-1e400", "1e-400", "1e300", "1e-320", "5e-324", "-0", "0.0", "1/0", ""]
+flag_tokens = st.one_of(
+    st.sampled_from(EDGE_TOKENS),
+    st.integers(-(10**6), 10**6).map(str),
+    st.builds(lambda n, d: f"{n}/{d}", st.integers(-50, 50), st.integers(-3, 50)),
+    st.floats().map(repr),
+    st.text(alphabet="0123456789/.-+eE ij,xn", max_size=6),
+)
+
+
+@pytest.fixture()
+def flag_documents(tmp_path):
+    for name in ("blowup", "diagonal"):
+        (tmp_path / f"{name}.json").write_text(json.dumps(DOCUMENTS[name][0]))
+    return tmp_path
+
+
+def _assert_no_engine_fault(files, argv, flag):
+    run = [argv[0], str(files / f"{argv[1]}.json"), *argv[2:], flag, "--format", "json"]
+    err = io.StringIO()
+    # a numpy warning becomes an exception, and so exit 3
+    with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = main(run)
+    assert code in (0, 1, 2), (run, err.getvalue())
+
+
+@settings(
+    derandomize=True,
+    database=None,
+    deadline=None,
+    max_examples=60,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_one_bad_flag_entry_is_input_error_never_engine_fault(flag_documents, data):
+    for argv, valid in FLAG_RUNS:
+        tokens = valid.split(",")
+        # replace, drop or add one comma-separated entry
+        at = data.draw(st.integers(0, len(tokens)))
+        edit = data.draw(st.sampled_from(["replace", "drop", "add"]))
+        if edit == "drop" and at < len(tokens):
+            del tokens[at]
+        elif edit == "add" or at == len(tokens):
+            tokens.insert(at, data.draw(flag_tokens))
+        else:
+            tokens[at] = data.draw(flag_tokens)
+        _assert_no_engine_fault(flag_documents, argv, ",".join(tokens))
+
+
+@pytest.mark.parametrize("token", EDGE_TOKENS)
+def test_flag_of_one_edge_value_throughout_is_never_engine_fault(flag_documents, token):
+    for argv, valid in FLAG_RUNS:
+        _assert_no_engine_fault(flag_documents, argv, ",".join([token] * len(valid.split(","))))

@@ -4,7 +4,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import tube_reference
 from residuelab import mellin, tubes
 from residuelab import (
     AdmissiblePath,
@@ -226,8 +228,8 @@ def test_mellin_check_sign_is_pinned(monkeypatch):
     sc = diagonal_scenario([1], p=1)
     chart = sc.charts[0]
     spec = tube_spec_from_chart(chart, [Fraction(1, 100)])
-    factor = tubes._tube_factor
-    monkeypatch.setattr(tubes, "_tube_factor", lambda *args: -factor(*args))
+    factors = tubes._tube_factors
+    monkeypatch.setattr(tubes, "_tube_factors", lambda *args: [-x for x in factors(*args)])
     (row,) = mellin_check(spec, sc.testform(chart.name), [[3.0]])
     assert abs(row.rel_error - 2) < 1e-9
     assert row.sign == -1
@@ -433,3 +435,88 @@ def test_tube_spec_needs_one_positive_radius_per_factor():
         TubeSpec(chart, (Fraction(1, 4), Fraction(0)))
     spec = tube_spec_from_chart(chart, [Fraction(1, 4), 1])
     assert (spec.chart, spec.eps) == (chart, (Fraction(1, 4), Fraction(1)))
+
+
+def test_tube_spec_rejects_a_radius_that_rounds_to_zero_as_a_float():
+    chart = diagonal_scenario([1, 1], p=1).charts[0]
+    with pytest.raises(ValueError, match="rounds to 0.0"):
+        TubeSpec(chart, (Fraction(1, 10**400), Fraction(1)))
+    # 2^-1075 ties to 0.0; the next rational above it rounds to the least subnormal
+    with pytest.raises(ValueError, match="rounds to 0.0"):
+        TubeSpec(chart, (Fraction(1, 2**1075), Fraction(1)))
+    assert float(TubeSpec(chart, (Fraction(1, 2**1075) * Fraction(1001, 1000), 1)).eps[0]) == 5e-324
+
+
+# --- the batched tube factors against the one-radius reference ---------------
+
+F = Fraction
+OFF_UNIT_KNOTS = (F(1, 5), F(1, 2), F(7, 3))
+_rationals = st.builds(F, st.integers(-7, 7), st.integers(1, 9))
+
+
+@st.composite
+def _factor_profiles(draw):
+    kind = draw(st.sampled_from(["bump", "on_unit", "third", "off_unit", "zero"]))
+    if kind == "bump":
+        return RadialProfile.bump(draw(st.integers(1, 4)))
+    if kind == "on_unit":
+        return RadialProfile.on_unit(draw(st.lists(_rationals, min_size=1, max_size=4)))
+    if kind == "third":
+        return THIRD_KNOT
+    if kind == "off_unit":
+        pieces = tuple(tuple(draw(st.lists(_rationals, max_size=4))) for _ in OFF_UNIT_KNOTS[1:])
+        return RadialProfile(OFF_UNIT_KNOTS, pieces)
+    return RadialProfile.zero()
+
+
+def _edge_radii(rho, k):
+    """0, the least subnormal, and radii whose t0 = eps^(1/k) lands on each
+    knot and one ulp to either side, as floats and as Fractions; and radii
+    beyond the support."""
+    out = [0.0, 5e-324, F(0), 5.0, F(9), 1e3]
+    for knot in rho.knots:
+        for x in (float(knot), float(knot) ** k):
+            out += [x, math.nextafter(x, -math.inf), math.nextafter(x, math.inf)]
+        out += [knot, knot**k]
+    return [r for r in out if r >= 0]  # a radius is never negative
+
+
+@st.composite
+def _factor_cases(draw):
+    rho = draw(_factor_profiles())
+    f = Factor(draw(st.integers(0, 3)), draw(st.integers(0, 3)), rho)
+    k = draw(st.integers(1, 3))
+    # (j, p): a circle, an exterior or a spectator
+    j, p = draw(st.sampled_from([(0, 1), (1, 2), (0, 0), (1, 1), (None, 1)]))
+    extra = draw(
+        st.lists(
+            st.one_of(
+                st.floats(1e-12, 3.0),
+                st.builds(F, st.integers(1, 40), st.integers(1, 12)),
+            ),
+            max_size=6,
+        )
+    )
+    radii = _edge_radii(rho, k) + extra
+    draw(st.randoms()).shuffle(radii)
+    return k, j, f, p, radii
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(case=_factor_cases())
+def test_tube_factors_equal_the_one_radius_reference_bit_for_bit(case):
+    k, j, f, p, radii = case
+    got = tubes._tube_factors(k, j, f, p, radii)
+    want = [tube_reference.tube_factor(k, j, f, p, r) for r in radii]
+    assert [repr(z) for z in got] == [repr(z) for z in want], (k, j, p, str(f.rho), f.a, f.b)
+
+
+def test_one_mellin_check_with_five_lambdas_equals_five_calls():
+    sc = diagonal_scenario([1, 2, 1], p=1, factors=[Factor(x, 1, THIRD_COEFF) for x in (1, 3, 2)])
+    chart = sc.charts[0]
+    spec = tube_spec_from_chart(chart, [Fraction(1, 100)] * 3)
+    tf = sc.testform(chart.name)
+    lams = [[3, 3, 3], [2.5 + 1j, 3.25, 3.25], [4, 2, 5], [2, 5 - 1j, 3], [3.5, 3.5, 2.25]]
+    rows = mellin_check(spec, tf, lams)
+    singles = [row for lam in lams for row in mellin_check(spec, tf, [lam])]
+    assert [repr(r) for r in rows] == [repr(r) for r in singles]
