@@ -58,7 +58,6 @@ from .merovalue import MeroValue, PoleAtOriginError, TokenScalar
 from .poly import Poly
 from .profiles import ExactnessError, InputError, RadialProfile
 from .tubes import (
-    AdmissiblePath,
     TubeSpec,
     UnsupportedTubeError,
     admissible_limit,

@@ -1,7 +1,7 @@
 """Polynomial exterior algebra and the coordinate-hyperplane division lemma.
 
 Forms have rational polynomial coefficients on strictly increasing wedge
-index tuples.  The interpolant built by alternating restrictions matches a
+index tuples.  The interpolant, an alternating sum of restrictions, matches a
 form on every coordinate hyperplane of a given index set, so the difference
 becomes divisible by those coordinates; this is what lets the engine absorb
 logarithmic conjugate differentials on the principal-value divisor.
@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Dict, Iterable, Mapping, Sequence, Tuple
 
 from .orientation import inversion_parity
@@ -175,16 +174,20 @@ def build_interpolant(psi: PolyForm, K: Iterable[int]) -> PolyForm:
     """Alternating sum of restrictions over nonempty subsets of K.
 
     The result matches psi on each hyperplane {x_j = 0}, j in K, so the
-    difference has all dx_j-free coefficients divisible by x_j.
+    difference has all dx_j-free coefficients divisible by x_j.  A term of
+    psi (wedge index, monomial) survives `restrict_extend(psi, S)` exactly
+    when it contains neither dx_j nor x_j for every j in S, so over the
+    nonempty subsets of the j it misses it counts 1 - 1 + 1 - ... = 1 times
+    if there are any such j, else 0: the sum keeps just those terms of psi.
     """
-    K = sorted(set(K))
-    total = PolyForm.zero(psi.nvars, psi.degree)
-    for size in range(1, len(K) + 1):
-        sign = 1 if size % 2 else -1
-        for subset in combinations(K, size):
-            piece = restrict_extend(psi, subset)
-            total = total + (piece if sign > 0 else -piece)
-    return total
+    K = set(K)
+    out: Dict[IndexTuple, Poly] = {}
+    for idx, c in psi.terms.items():
+        free = [j - 1 for j in K if j not in idx]
+        kept = {e: v for e, v in c.terms.items() if any(not e[j] for j in free)}
+        if kept:
+            out[idx] = Poly(psi.nvars, kept)
+    return PolyForm(psi.nvars, psi.degree, out)
 
 
 def log_wedge_nonsingular(psi: PolyForm, omega: PolyForm, K: Iterable[int]) -> Dict[int, bool]:

@@ -23,7 +23,8 @@ from typing import List, Optional, Sequence, Tuple
 from .charts import ChartSpec, Factor, InputError, ProblemSignature, Scenario, SeparableTestForm
 from .mellin import _gauss_legendre, mellin_exact, term_plan
 
-LIMIT_T0 = Fraction(1, 2)  # first sample of an admissible limit
+PATH_M = 10  # ratio bound of the admissible path tube limits follow
+LIMIT_SAMPLES = 14  # tube integrals an admissible limit extrapolates from
 
 
 class UnsupportedTubeError(InputError):
@@ -153,28 +154,12 @@ def _tube_factors(k: int, j: Optional[int], f: Factor, p: int, radii: Sequence) 
     return out
 
 
-@dataclass(frozen=True)
-class AdmissiblePath:
-    """eps_j(t) = t^(exponents[j]); exponents decrease fast enough that every
-    ratio eps_j / eps_{j+1}^k with k <= bound tends to zero."""
-
-    exponents: Tuple[int, ...]
-    bound: int
-
-    @staticmethod
-    def default(count: int, M: int = 10) -> "AdmissiblePath":
-        # base M+1 keeps the ratio condition strict at k = M
-        return AdmissiblePath(tuple((M + 1) ** (count - 1 - j) for j in range(count)), M)
-
-    def ratio_condition_ok(self) -> bool:
-        # with positive exponents, a - k*b > 0 for all k <= bound iff it holds at k = bound
-        e = self.exponents
-        positive = self.bound >= 1 and all(x > 0 for x in e)
-        return positive and all(a > self.bound * b for a, b in zip(e, e[1:]))
-
-    def eps_at(self, t: Fraction) -> Tuple[Fraction, ...]:
-        t = Fraction(t)
-        return tuple(t**e for e in self.exponents)
+def path_exponents(count: int) -> Tuple[int, ...]:
+    """Exponents of the admissible path eps_j(t) = t^(e_j) that tube limits
+    follow: e_j = (PATH_M + 1)^(count - 1 - j), so every ratio
+    eps_j / eps_{j+1}^k with k <= PATH_M tends to zero.  On a diagonal tube
+    every admissible path has the same limit, so one path serves."""
+    return tuple((PATH_M + 1) ** (count - 1 - j) for j in range(count))
 
 
 @dataclass(frozen=True)
@@ -185,36 +170,24 @@ class LimitResult:
     converged: bool
 
 
-def admissible_limit(
-    spec: TubeSpec,
-    testform: SeparableTestForm,
-    path: Optional[AdmissiblePath] = None,
-    samples: int = 14,
-    tol: float = 1e-9,
-) -> LimitResult:
-    """Extrapolate the tube integral along an admissible path to t -> 0 from
-    samples at t = LIMIT_T0 / 2^j; `converged` means the error estimate (the
-    last change of the accelerated sequence) is at most `tol`, absolute."""
-    if samples < 2:
-        raise ValueError("admissible_limit needs samples >= 2")
-    if path is None:
-        path = AdmissiblePath.default(len(spec.eps))
-    if not path.ratio_condition_ok():
-        raise ValueError("path does not satisfy the admissible ratio condition")
-    ts = [LIMIT_T0 * Fraction(1, 2) ** j for j in range(samples)]
-    vals = _tube_values(_tube_terms(spec.chart, testform), spec.chart.p, [path.eps_at(t) for t in ts])
-    seq = list(vals)
+def admissible_limit(spec: TubeSpec, testform: SeparableTestForm, tol: float = 1e-9) -> LimitResult:
+    """Extrapolate the tube integral along the path of `path_exponents` to
+    t -> 0 from LIMIT_SAMPLES samples at t = 2^-1, 2^-2, ...; `converged`
+    means the error estimate (the last change of the accelerated sequence)
+    is at most `tol`, absolute."""
+    exponents = path_exponents(len(spec.eps))
+    radii = [tuple(Fraction(1, 2 ** (i * e)) for e in exponents) for i in range(1, LIMIT_SAMPLES + 1)]
+    vals = _tube_values(_tube_terms(spec.chart, testform), spec.chart.p, radii)
+    seq = vals
     # iterated Aitken acceleration; geometric t-sampling makes power-law
     # corrections geometric, which Aitken removes
     for _ in range(3):
-        if len(seq) < 3:
-            break
         nxt = []
         for a, b, c in zip(seq, seq[1:], seq[2:]):
             d = (c - b) - (b - a)
             nxt.append(c - (c - b) ** 2 / d if abs(d) > 1e-300 else c)
         seq = nxt
-    err = abs(seq[-1] - seq[-2]) if len(seq) >= 2 else abs(vals[-1] - vals[-2])
+    err = abs(seq[-1] - seq[-2])
     return LimitResult(seq[-1], err, tuple(vals), err <= tol)
 
 

@@ -275,14 +275,35 @@ def test_zero_denominator_flag_exit_2(capsys, blowup_file, diagonal_file, argv, 
     [
         (("--eps", "1/4"), "--eps: expected 2 values"),
         (("--eps", "1/4,0"), "--eps: tube radii must be positive"),
-        (("--path-M", "0"), "--path-M: must be >= 1"),
-        (("--path-M", "-1"), "--path-M: must be >= 1"),
     ],
-    ids=["eps-count", "eps-zero", "path-M-0", "path-M-neg"],
+    ids=["eps-count", "eps-zero"],
 )
 def test_tube_flag_errors_name_the_flag(capsys, diagonal_file, argv, message):
     assert main(["tube", diagonal_file, *argv]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_tube_has_no_path_flag(capsys, diagonal_file):
+    # tube limits follow one fixed admissible path
+    assert main(["tube", diagonal_file, "--path-M", "5"]) == 2
+    captured = capsys.readouterr()
+    assert "unrecognized arguments: --path-M 5" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1", "1e400"])
+@pytest.mark.parametrize(
+    "argv",
+    [("eval", "{blowup}", "--lam", "3,3,3"), ("tube", "{diagonal}"), ("mellin-check", "{diagonal}", "--lam", "3,3")],
+    ids=["eval", "tube", "mellin-check"],
+)
+def test_tol_that_is_no_tolerance_names_the_flag(capsys, blowup_file, diagonal_file, argv, tol):
+    # NaN failed every numeric verdict and inf passed them all, so bad input read as a verdict
+    argv = [a.format(blowup=blowup_file, diagonal=diagonal_file) for a in argv]
+    assert main([*argv, f"--tol={tol}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: --tol: expected a finite tolerance >= 0\n"
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -107,6 +108,29 @@ def test_interpolant_fixed_form():
     # form independent of the restricted variables: alternating sum collapses to it
     g = PolyForm.basis(3, (3,), Poly(3, {(0, 0, 2): ONE}))
     assert build_interpolant(g, {1, 2}) == g
+
+
+def _alternating_restrictions(psi, K):
+    """The interpolant as defined: the sum of (-1)^(|S|+1) restrict_extend(psi, S)
+    over the nonempty subsets S of K."""
+    K = sorted(K)
+    total = PolyForm.zero(psi.nvars, psi.degree)
+    for size in range(1, len(K) + 1):
+        for S in combinations(K, size):
+            piece = restrict_extend(psi, S)
+            total = total + (piece if size % 2 else -piece)
+    return total
+
+
+def test_interpolant_is_the_alternating_sum_of_restrictions():
+    rng = random.Random(12)
+    cases = [ci_pullback_instance(rng)[:2] for _ in range(20)]
+    for _ in range(200):
+        n = rng.randint(1, 5)
+        K = set(rng.sample(range(1, n + 1), rng.randint(0, n)))
+        cases.append((random_polyform(rng, n, rng.randint(0, n)), K))
+    for psi, K in cases:
+        assert form_to_obj(build_interpolant(psi, K)) == form_to_obj(_alternating_restrictions(psi, K))
 
 
 def test_nonsingular_report_examples():

@@ -5,12 +5,13 @@ or each field's own number as a JSON float.  It replaces one field at a time,
 at every depth, and checks that the parsers either return or raise
 ScenarioError, and that the CLI exits 0, 1 or 2 on the result, never 3.
 A second property mutates the flag strings `--eps`, `--lam` and `--point`
-of valid runs in the same way.
+of valid runs in the same way, and a third gives `--tol` random strings.
 """
 
 import contextlib
 import io
 import json
+import math
 import warnings
 from fractions import Fraction
 
@@ -146,6 +147,7 @@ def _assert_no_engine_fault(files, argv, flag):
         warnings.simplefilter("error")
         code = main(run)
     assert code in (0, 1, 2), (run, err.getvalue())
+    return code
 
 
 @settings(
@@ -175,3 +177,26 @@ def test_one_bad_flag_entry_is_input_error_never_engine_fault(flag_documents, da
 def test_flag_of_one_edge_value_throughout_is_never_engine_fault(flag_documents, token):
     for argv, valid in FLAG_RUNS:
         _assert_no_engine_fault(flag_documents, argv, ",".join([token] * len(valid.split(","))))
+
+
+# the runs that read --tol, each valid with the default tolerance
+TOL_RUNS = [["eval", "blowup", "--lam", "3,3,3"], ["tube", "diagonal"], ["mellin-check", "diagonal", "--lam", "3,3"]]
+
+
+@settings(
+    derandomize=True,
+    database=None,
+    deadline=None,
+    max_examples=40,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(token=st.one_of(flag_tokens, st.sampled_from(["nan", "-nan", "inf", "-inf", "1e-400", "-0.0", "0"])))
+def test_tol_string_is_a_tolerance_or_input_error(flag_documents, token):
+    # a NaN, infinite or negative --tol must not read as a failed or passed verdict
+    try:
+        tolerance = 0 <= float(token) < math.inf
+    except ValueError:
+        tolerance = False
+    for argv in TOL_RUNS:
+        code = _assert_no_engine_fault(flag_documents, argv, f"--tol={token}")
+        assert (code != 2) == tolerance, (argv, token, code)

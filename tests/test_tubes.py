@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import random
@@ -9,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 import tube_reference
 from residuelab import mellin, tubes
 from residuelab import (
-    AdmissiblePath,
     ChartSpec,
     Factor,
     ProblemSignature,
@@ -103,17 +103,29 @@ def test_pv_limit_matches_closed_form():
     assert res.converged
 
 
+def _unchecked_tube(chart, eps):
+    """The tube at `eps` without TubeSpec's checks: from t = 2^-9 on, the first
+    of three path radii, t^121, is below 2^-1075, which TubeSpec rejects and
+    the limit's samples read as 0.0."""
+    spec = object.__new__(TubeSpec)
+    object.__setattr__(spec, "chart", chart)
+    object.__setattr__(spec, "eps", tuple(eps))
+    return spec
+
+
 def test_admissible_limit_samples_equal_tube_integrals():
-    sc = diagonal_scenario([1, 2], p=1)
-    chart = sc.charts[0]
-    tf = sc.testform(chart.name)
-    spec = tube_spec_from_chart(chart, [Fraction(1, 4)] * 2)
-    path = AdmissiblePath.default(2)
-    res = admissible_limit(spec, tf, path, samples=6)
-    ts = [Fraction(1, 2) ** (j + 1) for j in range(6)]
-    direct = tuple(tube_integral(tube_spec_from_chart(chart, path.eps_at(t)), tf) for t in ts)
-    assert any(direct)
-    assert [repr(z) for z in res.samples] == [repr(z) for z in direct]
+    # the one path: eps_j = t^(11^(count-1-j)) at t = 2^-1 ... 2^-14
+    assert tubes.path_exponents(3) == (121, 11, 1)
+    ts = [Fraction(1, 2) ** (j + 1) for j in range(14)]
+    for ks, p in [([2], 1), ([1, 2], 1), ([1, 2, 1], 2)]:
+        sc = diagonal_scenario(ks, p=p)
+        chart = sc.charts[0]
+        tf = sc.testform(chart.name)
+        res = admissible_limit(tube_spec_from_chart(chart, [Fraction(1, 4)] * len(ks)), tf)
+        exponents = tubes.path_exponents(len(ks))
+        direct = [tube_integral(_unchecked_tube(chart, [t**e for e in exponents]), tf) for t in ts]
+        assert any(direct)
+        assert [repr(z) for z in res.samples] == [repr(z) for z in direct], ks
 
 
 def test_admissible_limit_converged_is_absolute():
@@ -126,18 +138,6 @@ def test_admissible_limit_converged_is_absolute():
     assert abs(res.value) > 1
     assert res.converged is False
     assert res.converged == (res.error <= tol)
-
-
-def test_admissible_path_ratio_condition():
-    path = AdmissiblePath.default(3, M=10)
-    assert path.ratio_condition_ok()
-    bad = AdmissiblePath((10, 1, 1), bound=10)
-    assert not bad.ratio_condition_ok()
-    # a bound below 1 or a non-positive exponent is no admissible path
-    for degenerate in (AdmissiblePath.default(2, M=0), AdmissiblePath.default(2, M=-1)):
-        assert not degenerate.ratio_condition_ok()
-    eps = path.eps_at(Fraction(1, 2))
-    assert eps[0] < eps[1] ** 10
 
 
 def test_limits_match_origin_values_diagonal():
@@ -382,6 +382,31 @@ def test_tube_command_skips_only_the_origin_value_outside_the_exact_class(capsys
     ]
 
 
+# SHA-256 of `tube --format json` reports at the default radii, without
+# `inputs.options` and `inputs.scenario` (flags and the file's path), by tube:
+# every float, exact value and verdict of the report is held to these bytes
+TUBE_REPORTS = {
+    ((1, 1), 1, None): "b9c790a0b16cf59e5c61d1259ec6b5f5b06816f8ac5547b94826b7fef72d1e31",
+    ((2, 1), 0, None): "b791d23b1d7cb87199c5be8338a821c483e5b47b022337832c7ea5eae3993968",
+    ((1, 1, 1), 1, None): "08f6aff058332018d1601840e749a6f1ab23f1a103e5ad1f700853bdac3e02f0",
+    ((3, 1), 2, None): "a7322d82a6dcb92c10234658376ad83062f78c2d1610c6289fb89817291bd4d6",
+    ((1, 1, 1, 1), 2, None): "c36cbdcde34ea179ecbb6b358b371fdf33d85432e70b749d1c6765100e091b3a",
+    ((1, 2, 1), 1, "third-knot"): "5756ba5dccb72007197d9750a0f1e030aab0c5a069db9482a227d7be9dabd212",
+}
+
+
+@pytest.mark.parametrize("ks, p, profile", sorted(TUBE_REPORTS, key=repr))
+def test_tube_report_bytes_pinned(capsys, tmp_path, ks, p, profile):
+    factors = [Factor(a, 0, THIRD_KNOT) for a in (0, 2, 1)] if profile else None
+    path = tmp_path / "tube.json"
+    path.write_text(diagonal_scenario(list(ks), p=p, factors=factors).to_json())
+    assert main(["tube", str(path), "--format", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    del report["inputs"]["options"], report["inputs"]["scenario"]
+    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == TUBE_REPORTS[ks, p, profile]
+
+
 @pytest.mark.parametrize("ks, a", sorted(THIRD_COEFF_CHECKS))
 def test_third_coeff_mellin_check_rows_pinned(ks, a):
     sc = diagonal_scenario(ks, p=1, factors=[Factor(x, 1, THIRD_COEFF) for x in a])
@@ -390,16 +415,6 @@ def test_third_coeff_mellin_check_rows_pinned(ks, a):
     lams = [[3] * len(ks), [2.5 + 1j] + [3.25] * (len(ks) - 1)]
     rows = mellin_check(spec, sc.testform(chart.name), lams)
     assert [(repr(r.transform), repr(r.rel_error)) for r in rows] == THIRD_COEFF_CHECKS[(ks, a)]
-
-
-@pytest.mark.parametrize("samples", [0, 1])
-def test_admissible_limit_needs_two_samples(samples):
-    sc = diagonal_scenario([1], p=1)
-    chart = sc.charts[0]
-    spec = tube_spec_from_chart(chart, [Fraction(1, 4)])
-    with pytest.raises(ValueError, match="samples >= 2"):
-        admissible_limit(spec, sc.testform(chart.name), samples=samples)
-    assert len(admissible_limit(spec, sc.testform(chart.name), samples=2).samples) == 2
 
 
 def test_chart_sign_applies_to_every_tube_path():
