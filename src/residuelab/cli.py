@@ -40,7 +40,7 @@ from .extforms import (
 from .gaussian import QI
 from .leibniz import chart_certificate, global_certificate, shape_violations
 from .linform import AffineForm
-from .mellin import DimensionTooLargeError, FloatRangeError, mellin_quadrature
+from .mellin import FloatRangeError, mellin_quadrature
 from .mellin import chart_sum, mellin_exact, residue_on, value_at_origin
 from .merovalue import HigherOrderPoleError, PoleAtPointError, TokenScalar
 from .profiles import ExactnessError, InputError
@@ -250,9 +250,6 @@ def cmd_eval(args, report: Report) -> None:
     if all(x >= 2 for x in lam) and scenario.signature.n <= 3:
         try:
             quad = mellin_quadrature(scenario, chart, _complexes(lam, "--lam"))
-        except DimensionTooLargeError as exc:
-            report.results["quadrature"] = f"skipped ({exc})"
-            return
         except FloatRangeError as exc:
             raise ScenarioError("--lam", str(exc)) from None
         ref = point.as_complex()

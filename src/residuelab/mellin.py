@@ -15,7 +15,7 @@ from functools import lru_cache
 from math import lcm, prod
 from typing import Dict, Optional, Sequence, Tuple, Union
 
-from .charts import ChartSpec, Factor, Scenario, SeparableTestForm
+from .charts import ChartSpec, Factor, InputError, Scenario, SeparableTestForm
 from .gaussian import QI
 from .leibniz import check_units, subset_determinant
 from .linform import AffineForm, _normalized
@@ -23,8 +23,7 @@ from .merovalue import MeroValue, TokenScalar
 from .orientation import dbar_front_sign
 from .profiles import ExactnessError, RadialProfile
 
-QUAD_NODES, QUAD_ANGLES = 24, 32  # coarse quadrature pass; the fine pass doubles both
-QUAD_MAX_ANGLES = 2**16  # 4 angles per unit of twist; bounds the angle arrays (2 MB at the fine pass)
+QUAD_NODES = 24  # radial nodes of the coarse quadrature pass; the fine pass doubles them
 
 
 class DimensionTooLargeError(ValueError):
@@ -86,26 +85,28 @@ def _resolve_chart(scenario: Scenario, chart: Union[ChartSpec, str]) -> ChartSpe
 class PlannedTerm:
     """A test-form term that survives angular selection on one chart.
 
-    `variables` holds, per variable x_i in order, (column, u, v, factor): the
-    variable integrates |x|^(2 mu) x^u conj(x)^v rho(|x|^2) with mu the column
-    paired against the parameters, and vanishes by angular selection when
-    u != v.  `index` is the term's position in the test form.
+    `orientation` is the term's sign and weight, the subset determinant times
+    the wedge sign times the chart's sign.  `variables` holds, per variable
+    x_i in order, (column, u, factor): the variable integrates
+    |x|^(2 mu) |x|^(2u) rho(|x|^2) with mu the column paired against the
+    parameters.  `index` is the term's position in the test form.
     """
 
     coeff: QI
-    det: int
-    sign: int
-    variables: Tuple[Tuple[Tuple[int, ...], int, int, Factor], ...]
+    orientation: int
+    variables: Tuple[Tuple[Tuple[int, ...], int, Factor], ...]
     index: int
 
 
 def term_plan(chart: ChartSpec, testform: SeparableTestForm, N: int) -> Tuple[PlannedTerm, ...]:
-    """The terms of the test form that the chart integral can see.
+    """The terms of the test form that survive angular selection on the chart.
 
     A term survives when its coefficient is nonzero, it has top degree
-    (exactly n - p conjugate slots), and the subset determinant of the chart's
-    derivative rows on its holomorphic variables is nonzero.  `sign` is the
-    wedge sign of moving those variables' conjugate differentials in front.
+    (exactly n - p conjugate slots), the subset determinant of the chart's
+    derivative rows on its holomorphic variables is nonzero, and every
+    variable x^u conj(x)^v has no angular twist, u = v.  Its orientation is
+    that determinant times the wedge sign of moving those variables'
+    conjugate differentials in front, times the chart's sign.
     """
     n, p = chart.n, chart.p
     columns = [chart.column(i) for i in range(1, n + 1)]
@@ -122,10 +123,12 @@ def term_plan(chart: ChartSpec, testform: SeparableTestForm, N: int) -> Tuple[Pl
             f = term.factors[i - 1]
             u = f.a + chart.jac[i - 1] - N * sum(columns[i - 1])
             # variables carrying a derivative differential pick up 1/conj(x)
-            v = f.b - (0 if i in term.dbar_slots else 1)
-            variables.append((columns[i - 1], u, v, f))
-        sign = dbar_front_sign(I, n, term.dbar_slots)
-        plan.append(PlannedTerm(term.coeff, det, sign, tuple(variables), index))
+            if u != f.b - (0 if i in term.dbar_slots else 1):
+                break
+            variables.append((columns[i - 1], u, f))
+        else:
+            orientation = det * dbar_front_sign(I, n, term.dbar_slots) * chart.sign
+            plan.append(PlannedTerm(term.coeff, orientation, tuple(variables), index))
     return tuple(plan)
 
 
@@ -139,11 +142,8 @@ def mellin_exact(scenario: Scenario, chart: Union[ChartSpec, str]) -> MeroValue:
     axis = [1] * sig.p + [0] * (nv - sig.p)
     result = MeroValue.zero(nv)
     for term in plan:
-        val = MeroValue.monomial(nv, axis, term.coeff * (term.det * term.sign * chart.sign))
-        for j, (column, u, v, f) in enumerate(term.variables):
-            if u != v:
-                val = MeroValue.zero(nv)
-                break
+        val = MeroValue.monomial(nv, axis, term.coeff * term.orientation)
+        for j, (column, u, f) in enumerate(term.variables):
             try:
                 fac = radial_factor(nv, column, u, f.rho)
             except ExactnessError as exc:
@@ -207,15 +207,13 @@ def _gauss_legendre(n: int):
     return nodes, weights
 
 
-def _quad_variable(mu: complex, u: int, v: int, rho: RadialProfile, nr: int, nt: int) -> complex:
-    """Numeric integral over C of |x|^(2 mu) x^u conj(x)^v rho(|x|^2) dx ^ conj(dx)."""
+def _quad_variable(mu: complex, u: int, rho: RadialProfile, nr: int) -> complex:
+    """Numeric integral over C of |x|^(2 mu) |x|^(2u) rho(|x|^2) dx ^ conj(dx):
+    the angle gives exactly 2 pi, so only the radius is integrated."""
     import numpy as np
 
     if rho.is_zero():
         return 0j
-    twist = u - v
-    theta = (np.arange(nt) + 0.5) * (2 * np.pi / nt)
-    ang = np.exp(1j * twist * theta).sum() * (2 * np.pi / nt)
     nodes, weights = _gauss_legendre(nr)
     radial = 0j
     knots = [float(k) for k in rho.knots]
@@ -227,21 +225,20 @@ def _quad_variable(mu: complex, u: int, v: int, rho: RadialProfile, nr: int, nt:
         rho_t = np.zeros_like(t)
         for k, c in reversed(list(enumerate(piece))):
             rho_t = rho_t * t + float(c)
-        vals = np.exp((2 * mu + u + v + 1) * np.log(r)) * rho_t
+        # x^u conj(x)^u: u added twice, not 2u, for the roundings of the pinned quadrature values
+        vals = np.exp((2 * mu + u + u + 1) * np.log(r)) * rho_t
         radial += np.sum(w * vals)
-    return -2j * ang * radial
+    return -2j * (2 * np.pi) * radial
 
 
-def _quad_total(
-    plan: Sequence[PlannedTerm], chart_sign: int, p: int, lam: Sequence[complex], nr: int, nt: int
-) -> complex:
+def _quad_total(plan: Sequence[PlannedTerm], p: int, lam: Sequence[complex], nr: int) -> complex:
     def term_value(term: PlannedTerm) -> complex:
-        total = term.coeff.as_complex() * term.det * term.sign * chart_sign
+        total = term.coeff.as_complex() * term.orientation
         for t in range(p):
             total *= lam[t]
-        for column, u, v, f in term.variables:
+        for column, u, f in term.variables:
             mu = sum(c * lam[j] for j, c in enumerate(column))
-            total *= _quad_variable(mu, u, v, f.rho, nr, nt)
+            total *= _quad_variable(mu, u, f.rho, nr)
             if not total:
                 return 0j
         return total
@@ -254,9 +251,10 @@ def mellin_quadrature(
     chart: Union[ChartSpec, str],
     lam: Sequence[complex],
 ) -> QuadResult:
-    """Adaptive polar cubature of the chart integrand at a fixed parameter point.
+    """Gauss-Legendre radial quadrature of the chart integrand at a fixed
+    parameter point, over the terms `term_plan` keeps.
 
-    Deterministic: one coarse and one refined tensor schedule, the difference
+    Deterministic: one coarse and one refined radial schedule, the difference
     serving as the error estimate.
     """
     chart = _resolve_chart(scenario, chart)
@@ -265,25 +263,17 @@ def mellin_quadrature(
         raise DimensionTooLargeError("DimensionTooLarge: quadrature supports n <= 3")
     lam = [complex(z) for z in lam]
     if len(lam) != sig.nfactors:
-        raise ValueError(f"expected {sig.nfactors} parameter values")
+        raise InputError(f"expected {sig.nfactors} parameter values")
     if any(z.real < 2 for z in lam):
-        raise ValueError("quadrature needs Re(lambda_j) >= 2 (absolute convergence zone)")
-    testform = scenario.testform(chart.name)
-    max_twist = 0
-    for term in testform.terms:
-        for f in term.factors:
-            max_twist = max(max_twist, abs(f.a - f.b) + 1)
-    nt = max(QUAD_ANGLES, 4 * max_twist)
-    if nt > QUAD_MAX_ANGLES:
-        raise DimensionTooLargeError(f"DimensionTooLarge: twist {max_twist - 1} needs {nt} angles")
+        raise InputError("quadrature needs Re(lambda_j) >= 2 (absolute convergence zone)")
     import cmath
 
     import numpy as np
 
-    plan = term_plan(chart, testform, sig.N)
+    plan = term_plan(chart, scenario.testform(chart.name), sig.N)
     with np.errstate(all="ignore"):  # an overflow shows as a non-finite value, checked below
-        coarse = _quad_total(plan, chart.sign, sig.p, lam, QUAD_NODES, nt)
-        fine = _quad_total(plan, chart.sign, sig.p, lam, 2 * QUAD_NODES, 2 * nt)
+        coarse = _quad_total(plan, sig.p, lam, QUAD_NODES)
+        fine = _quad_total(plan, sig.p, lam, 2 * QUAD_NODES)
     if not (cmath.isfinite(coarse) and cmath.isfinite(fine)):
         raise FloatRangeError("the quadrature leaves the float range at this point")
     return QuadResult(fine, abs(fine - coarse))

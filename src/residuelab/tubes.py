@@ -51,13 +51,17 @@ class TubeSpec:
         if any(self.chart.jac):
             raise UnsupportedTubeError("UnsupportedTube: tube charts carry no Jacobian factor")
         if any(sum(row) < 1 for row in rows):
-            raise ValueError("exponents must be >= 1")
+            raise InputError("exponents must be >= 1")
         if len(self.eps) != len(rows):
-            raise ValueError(f"expected {len(rows)} tube radii")
+            raise InputError(f"expected {len(rows)} tube radii")
         if any(e <= 0 for e in self.eps):
-            raise ValueError("tube radii must be positive")
-        if any(float(e) == 0 for e in self.eps):  # the tube paths read radii as floats
-            raise ValueError("tube radii must be positive as floats: 2^-1075 or less rounds to 0.0")
+            raise InputError("tube radii must be positive")
+        try:  # the tube paths read radii as floats
+            floats = [float(e) for e in self.eps]
+        except OverflowError:
+            raise InputError("tube radii must be finite as floats: 2^1024 or more overflows") from None
+        if not all(floats):
+            raise InputError("tube radii must be positive as floats: 2^-1075 or less rounds to 0.0")
 
 
 def tube_spec_from_chart(chart: ChartSpec, eps: Sequence[Fraction]) -> TubeSpec:
@@ -67,18 +71,17 @@ def tube_spec_from_chart(chart: ChartSpec, eps: Sequence[Fraction]) -> TubeSpec:
 
 def _tube_terms(chart: ChartSpec, testform: SeparableTestForm) -> List[Tuple[complex, tuple]]:
     """The terms of the tube integrand that survive angular selection: each
-    term's scalar, with the chart's sign and one flip per residue factor, and
-    per variable (k, factor row or None, factor).  A spectator variable meets
-    no factor row and has k = 0."""
+    term's scalar, with the sign of its orientation and one flip per residue
+    factor, and per variable (k, factor row or None, factor).  A spectator
+    variable meets no factor row and has k = 0."""
     terms = []
     for term in term_plan(chart, testform, 1):
-        if any(u != v for _, u, v, _ in term.variables):
-            continue
-        scalar = term.coeff.as_complex() * (term.sign * chart.sign * (-1) ** chart.p)
+        sign = 1 if term.orientation > 0 else -1
+        scalar = term.coeff.as_complex() * (sign * (-1) ** chart.p)
         # a diagonal chart's column has at most one nonzero entry, k
         variables = tuple(
             (sum(column), column.index(sum(column)) if any(column) else None, f)
-            for column, _, _, f in term.variables
+            for column, _, f in term.variables
         )
         terms.append((scalar, variables))
     return terms
@@ -90,8 +93,8 @@ def tube_integral(spec: TubeSpec, testform: SeparableTestForm) -> complex:
 
     The tube is oriented so that its admissible limit represents the same
     current the analytic continuation evaluates: counterclockwise circles,
-    with the block sign of moving the circle directions in front of the
-    ambient orientation and one flip per residue factor.
+    and each selected term scaled by coeff * sign(orientation) * (-1)^p,
+    with `term_plan`'s orientation and one flip per residue factor.
     """
     return _tube_values(_tube_terms(spec.chart, testform), spec.chart.p, [spec.eps])[0]
 
@@ -230,7 +233,7 @@ def mellin_check(
     m-fold transform, the integral of T(s) prod_j lam_j s_j^(lam_j - 1) over
     (0, oo)^m, is exactly
 
-        sum over terms of  coeff * sign * chart.sign * (-1)^p * prod_j M_j(lam_j),
+        sum over terms of  coeff * sign(orientation) * (-1)^p * prod_j M_j(lam_j),
 
     where M_j is the one-variable transform of factor j (Gauss-Legendre, 40
     nodes per panel) and a spectator variable contributes its constant factor.
@@ -243,9 +246,9 @@ def mellin_check(
     count = len(spec.eps)
     lambdas = [[complex(z) for z in lam] for lam in lambdas]
     if any(len(lam) != count for lam in lambdas):
-        raise ValueError(f"expected {count} parameter values")
+        raise InputError(f"expected {count} parameter values")
     if any(z.real < 2 for lam in lambdas for z in lam):
-        raise ValueError("mellin_check needs Re(lambda) >= 2")
+        raise InputError("mellin_check needs Re(lambda) >= 2")
     signature = ProblemSignature(chart.n, chart.p, chart.q, 1)
     exact = mellin_exact(Scenario(signature, (chart,), {chart.name: testform}), chart)
     terms = _tube_terms(chart, testform)

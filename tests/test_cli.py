@@ -653,18 +653,33 @@ def test_deduce_arguments_out_of_range_name_the_argument(capsys, argv, message):
     assert captured.out == ""
 
 
-def test_eval_skips_quadrature_on_a_twist_beyond_its_angle_grid(capsys, tmp_path):
-    # the quadrature takes 4 angles per unit of twist, so a huge twist would
-    # allocate angle arrays of that length; the exact value is still reported
+def test_eval_checks_the_quadrature_on_a_twist_of_99999(capsys, tmp_path):
+    # the quadrature integrates only the terms angular selection keeps, so a
+    # huge twist on a test-form factor needs no angle grid
     doc = blowup_example().to_obj()
     doc["testforms"]["z"]["terms"][0]["factors"][0]["b"] = 10**5
     path = tmp_path / "twist.json"
     path.write_text(json.dumps(doc))
     code, out = run(capsys, "eval", str(path), "--chart", "z", "--lam", "3,3,3", "--format", "json")
     assert code == 0
-    results = json.loads(out)["results"]
-    assert results["quadrature"] == "skipped (DimensionTooLarge: twist 99999 needs 400000 angles)"
-    assert "exact_at_point" in results
+    report = json.loads(out)
+    assert isinstance(report["results"]["quadrature"], dict)
+    (verdict,) = report["verdicts"]
+    assert verdict["name"] == "exact-vs-quadrature" and verdict["pass"] is True
+    assert verdict["value"] <= 1e-12
+
+
+def test_eval_quadrature_drops_a_twist_the_angle_count_would_alias(capsys, tmp_path):
+    # x^0 conj(x)^1 against f = x^64 twists by u - v = -64, which the old grid
+    # of 32 and 64 midpoint angles, sized from |a - b| = 1, read as no twist
+    sc = diagonal_scenario([64], p=1, factors=[Factor(0, 1, RadialProfile.bump(2))])
+    path = tmp_path / "twist64.json"
+    path.write_text(sc.to_json())
+    code, out = run(capsys, "eval", str(path), "--lam", "2", "--format", "json")
+    assert code == 0
+    report = json.loads(out)
+    assert report["results"]["quadrature"] == {"re": 0.0, "im": 0.0}
+    assert report["verdicts"] == [{"name": "exact-vs-quadrature", "pass": True, "tolerance": 1e-06, "value": 0.0}]
 
 
 def test_exact_commands_start_without_numpy(tmp_path, blowup_file, diagonal_file):

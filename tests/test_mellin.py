@@ -20,6 +20,7 @@ from residuelab import (
     blowup_base,
     blowup_example,
     blowup_parts,
+    diagonal_scenario,
     extreme_pole,
     mellin_exact,
     mellin_quadrature,
@@ -29,7 +30,7 @@ from residuelab import (
     value_at_origin,
 )
 from residuelab.linform import AffineForm
-from residuelab.mellin import DimensionTooLargeError, DivergenceError, _gauss_legendre, radial_factor
+from residuelab.mellin import DimensionTooLargeError, DivergenceError, _gauss_legendre, radial_factor, term_plan
 from residuelab.merovalue import PoleAtOriginError
 from residuelab.poly import Poly
 
@@ -261,6 +262,25 @@ def test_quadrature_zero_form():
     sc = simple_scenario(0, 1, a=2, b=0)  # twisted: exact value 0
     q = mellin_quadrature(sc, "c", [3.0])
     assert abs(q.value) < 1e-12
+
+
+def test_quadrature_drops_a_twist_the_old_angle_grid_aliased():
+    # f = x^64 against x^0 conj(x)^1 twists by u - v = -64, a multiple of the
+    # 32 and 64 midpoint angles the quadrature once sized from |a - b| = 1
+    sc = diagonal_scenario([64], p=1, factors=[Factor(0, 1, RadialProfile.bump(2))])
+    chart = sc.charts[0]
+    assert term_plan(chart, sc.testform(chart.name), 1) == ()
+    assert mellin_exact(sc, chart).is_zero()
+    q = mellin_quadrature(sc, chart, [2.0])
+    assert (q.value, q.error) == (0j, 0.0)
+
+
+def test_selection_drops_a_twisted_term_before_reading_its_profiles():
+    # the first variable's profile is outside the exact class, but the second
+    # variable twists, so no value reads it
+    off_unit = RadialProfile((Fraction(0), Fraction(4)), ((Fraction(1),),))
+    sc = diagonal_scenario([1, 1], p=1, factors=[Factor(0, 0, off_unit), Factor(2, 0, RadialProfile.bump(2))])
+    assert mellin_exact(sc, sc.charts[0]).is_zero()
 
 
 def test_quadrature_dimension_guard():

@@ -12,6 +12,7 @@ from residuelab import mellin, tubes
 from residuelab import (
     ChartSpec,
     Factor,
+    InputError,
     ProblemSignature,
     QI,
     RadialProfile,
@@ -432,6 +433,39 @@ def test_chart_sign_applies_to_every_tube_path():
     assert row_neg.sign == 1
 
 
+# diagonal shapes, p, and the variable each residue row sits on: an odd order
+ODD_ROW_ORDERS = [
+    ([1, 1], 2, (1, 0)),
+    ([1, 2], 2, (1, 0)),
+    ([1, 1, 1], 2, (1, 0)),
+    ([2, 1, 1], 3, (1, 0, 2)),
+    ([1, 1, 1], 3, (2, 1, 0)),
+]
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("ks, p, order", ODD_ROW_ORDERS)
+def test_tube_paths_carry_the_sign_of_an_odd_residue_row_order(ks, p, order, sign):
+    # residue row j is x_order[j]^k: the residue block's determinant is
+    # negative, and every tube path must follow the exact value's sign
+    sc = diagonal_scenario(ks, p=p)
+    chart = sc.charts[0]
+    tf = sc.testform(chart.name)
+    straight = ChartSpec(chart.name, chart.alpha, chart.beta, chart.jac, sign)
+    permuted = ChartSpec(chart.name, tuple(chart.alpha[i] for i in order), chart.beta, chart.jac, sign)
+    eps = [Fraction(1, 3 + i) for i in range(len(ks))]
+    moved = [eps[i] for i in order] + eps[p:]
+    # the same tube with its residue rows listed in another order
+    assert tube_integral(TubeSpec(permuted, moved), tf) == -tube_integral(TubeSpec(straight, eps), tf) != 0
+    exact = mellin_exact(Scenario(sc.signature, (permuted,), {chart.name: tf}), permuted)
+    ref = value_at_origin(exact).as_complex()
+    res = admissible_limit(TubeSpec(permuted, [Fraction(1, 4)] * len(ks)), tf)
+    assert abs(res.value - ref) <= 1e-6 * abs(ref)
+    rows = mellin_check(TubeSpec(permuted, eps), tf, [[3.0] * len(ks), [2.5 + 1j] + [3.25] * (len(ks) - 1)])
+    assert [row.sign for row in rows] == [1, 1]
+    assert max(row.rel_error for row in rows) <= 1e-9
+
+
 @pytest.mark.parametrize("lam", [[3.0, 3.0, 3.0], [3.0]], ids=["long", "short"])
 def test_mellin_check_lam_length_is_the_factor_count(lam):
     # a long row used to pass on its first two entries, a short one to fail
@@ -450,6 +484,34 @@ def test_tube_spec_needs_one_positive_radius_per_factor():
         TubeSpec(chart, (Fraction(1, 4), Fraction(0)))
     spec = tube_spec_from_chart(chart, [Fraction(1, 4), 1])
     assert (spec.chart, spec.eps) == (chart, (Fraction(1, 4), Fraction(1)))
+
+
+@pytest.mark.parametrize(
+    "eps",
+    [
+        (Fraction(1, 4),),
+        (Fraction(1, 4), Fraction(0)),
+        (Fraction(1, 4), 0.0),
+        (Fraction(-1, 4), 1),
+        (Fraction(1, 10**400), 1),
+        (Fraction(10**400), 1),
+    ],
+    ids=["count", "zero", "float-zero", "negative", "rounds-to-zero", "overflows"],
+)
+def test_bad_tube_radii_are_input_errors(eps):
+    chart = diagonal_scenario([1, 1], p=1).charts[0]
+    with pytest.raises(InputError):
+        TubeSpec(chart, eps)
+
+
+@pytest.mark.parametrize("lam", [[3.0], [3.0, 1.5], [3.0, 1.0 + 5j]], ids=["count", "re-below-2", "complex"])
+def test_bad_parameter_points_are_input_errors(lam):
+    sc = diagonal_scenario([1, 1], p=1)
+    chart = sc.charts[0]
+    with pytest.raises(InputError):
+        mellin_check(tube_spec_from_chart(chart, [Fraction(1, 4)] * 2), sc.testform(chart.name), [lam])
+    with pytest.raises(InputError):
+        mellin_quadrature(sc, chart, lam)
 
 
 def test_tube_spec_rejects_a_radius_that_rounds_to_zero_as_a_float():
