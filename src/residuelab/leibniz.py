@@ -74,32 +74,24 @@ def rank_basis(alpha: Sequence[Sequence[int]]) -> Tuple[int, List[int]]:
     return len(basis), basis
 
 
-def _det(matrix: Sequence[Sequence[int]]) -> Fraction:
-    m = [list(map(Fraction, row)) for row in matrix]
-    size = len(m)
-    det = Fraction(1)
+def subset_determinant(alpha: Sequence[Sequence[int]], cols: Sequence[int]) -> int:
+    """Integer determinant of the given rows restricted to 1-based columns, by
+    fraction-free (Bareiss) elimination: each step's division is exact."""
+    m = [[row[i - 1] for i in cols] for row in alpha]
+    size, sign, prev = len(m), 1, 1
     for c in range(size):
         piv = next((r for r in range(c, size) if m[r][c]), None)
         if piv is None:
-            return Fraction(0)
+            return 0
         if piv != c:
             m[c], m[piv] = m[piv], m[c]
-            det = -det
-        det *= m[c][c]
-        for r in range(c + 1, size):
-            if m[r][c]:
-                f = m[r][c] / m[c][c]
-                m[r] = [a - f * b for a, b in zip(m[r], m[c])]
-    return det
-
-
-def subset_determinant(alpha: Sequence[Sequence[int]], cols: Sequence[int]) -> int:
-    """Integer determinant of the given rows restricted to 1-based columns."""
-    mat = [[row[i - 1] for i in cols] for row in alpha]
-    d = _det(mat)
-    if d.denominator != 1:
-        raise ArithmeticError("integer matrix produced a non-integer determinant")
-    return int(d)
+            sign = -sign
+        top = m[c]
+        for row in m[c + 1 :]:
+            for j in range(c + 1, size):
+                row[j] = (top[c] * row[j] - row[c] * top[j]) // prev
+        prev = top[c]
+    return sign * prev
 
 
 def check_units(chart: ChartSpec) -> None:

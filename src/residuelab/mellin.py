@@ -26,8 +26,8 @@ from .profiles import ExactnessError, RadialProfile
 QUAD_NODES = 24  # radial nodes of the coarse quadrature pass; the fine pass doubles them
 
 
-class DimensionTooLargeError(ValueError):
-    pass
+class DimensionTooLargeError(InputError):
+    """The quadrature takes at most three variables."""
 
 
 class FloatRangeError(ValueError):
@@ -189,6 +189,14 @@ def extreme_pole(v: MeroValue) -> Optional[Fraction]:
 # ---------------------------------------------------------------------------
 
 
+def _complexes(values: Sequence, name: str) -> list:
+    """Parameter values as complex floats; one beyond the float range is bad input."""
+    try:
+        return [complex(z) for z in values]
+    except OverflowError:
+        raise InputError(f"{name}: parameter value beyond the float range") from None
+
+
 @dataclass(frozen=True)
 class QuadResult:
     value: complex
@@ -215,19 +223,19 @@ def _quad_variable(mu: complex, u: int, rho: RadialProfile, nr: int) -> complex:
     if rho.is_zero():
         return 0j
     nodes, weights = _gauss_legendre(nr)
+    _, _, pieces, knots = rho._float_view
     radial = 0j
-    knots = [float(k) for k in rho.knots]
-    for a_t, b_t, piece in zip(knots, knots[1:], rho.pieces):
+    for a_t, b_t, piece in zip(knots, knots[1:], pieces):
         ra, rb = np.sqrt(a_t), np.sqrt(b_t)
         r = 0.5 * (rb - ra) * nodes + 0.5 * (rb + ra)
         w = 0.5 * (rb - ra) * weights
         t = r * r
-        rho_t = np.zeros_like(t)
-        for k, c in reversed(list(enumerate(piece))):
-            rho_t = rho_t * t + float(c)
+        rho_t = 0.0 * t
+        for c in reversed(piece):
+            rho_t = rho_t * t + c
         # x^u conj(x)^u: u added twice, not 2u, for the roundings of the pinned quadrature values
         vals = np.exp((2 * mu + u + u + 1) * np.log(r)) * rho_t
-        radial += np.sum(w * vals)
+        radial += np.add.reduce(w * vals)
     return -2j * (2 * np.pi) * radial
 
 
@@ -261,7 +269,7 @@ def mellin_quadrature(
     sig = scenario.signature
     if sig.n > 3:
         raise DimensionTooLargeError("DimensionTooLarge: quadrature supports n <= 3")
-    lam = [complex(z) for z in lam]
+    lam = _complexes(lam, "lam")
     if len(lam) != sig.nfactors:
         raise InputError(f"expected {sig.nfactors} parameter values")
     if any(z.real < 2 for z in lam):

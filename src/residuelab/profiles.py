@@ -103,12 +103,13 @@ class RadialProfile:
 
     @cached_property
     def _float_view(self):
-        """Float thresholds, one per knot, then one for the support end, and each
-        piece's float coefficients: for a float t, t < knots[i] exactly when
-        t < lows[i], and t > knots[-1] exactly when t >= end."""
+        """Float thresholds, one per knot, then one for the support end, each
+        piece's float coefficients, and the knots rounded to floats: for a
+        float t, t < knots[i] exactly when t < lows[i], and t > knots[-1]
+        exactly when t >= end."""
         lows = tuple(map(_ceil_float, self.knots))
         end = _ceil_float(self.knots[-1], True) if self.knots else math.inf
-        return lows, end, tuple(tuple(map(float, p)) for p in self.pieces)
+        return lows, end, tuple(tuple(map(float, p)) for p in self.pieces), tuple(map(float, self.knots))
 
     def value(self, t):
         """Evaluate at an exact rational (int or Fraction; exact result) or a float."""
@@ -126,7 +127,7 @@ class RadialProfile:
     def values(self, ts: Sequence[float]) -> List[float]:
         """rho at each float t, in floats: Horner's rule on the float coefficients
         of the piece holding t (the last piece at the support end), 0 outside."""
-        lows, end, pieces = self._float_view
+        lows, end, pieces, _ = self._float_view
         # the piece by the count of thresholds <= t, which is >= 1 on the support
         by_count = (None,) + pieces + pieces[-1:]
         out = []
@@ -204,7 +205,7 @@ class RadialProfile:
         for j in reversed(range(len(weights))):
             lcd, w = weights[j]
             head = below + Fraction(*_power_sum(w, b, *knots[j + 1].as_integer_ratio())) / lcd
-            heads[j] = head.numerator * lcd, head.denominator * lcd, head.denominator
+            heads[j] = head.numerator * lcd, head.denominator * lcd, head.denominator, w[::-1]
             below = head - Fraction(*_power_sum(w, b, *knots[j].as_integer_ratio())) / lcd
         out = []
         for r in radii:
@@ -214,9 +215,15 @@ class RadialProfile:
             elif i > len(weights):
                 out.append((0, 1))
             else:
-                hn, hd, den = heads[i - 1]
-                wn, wd = _power_sum(weights[i - 1][1], b, *r.as_integer_ratio())
-                out.append((hn * wd - wn * den, hd * wd))
+                # _power_sum at r = n/d, written out: this loop runs once per radius
+                hn, hd, den, ws = heads[i - 1]
+                n, d = r.as_integer_ratio()
+                acc, dpow = 0, 1
+                for w in ws:
+                    acc = acc * n + w * dpow
+                    dpow *= d
+                wd = dpow * d**b
+                out.append((hn * wd - acc * n ** (b + 1) * den, hd * wd))
         return out
 
     def moment(self, b: int) -> Fraction:

@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .charts import ChartSpec, Factor, InputError, ProblemSignature, Scenario, SeparableTestForm
-from .mellin import _gauss_legendre, mellin_exact, term_plan
+from .mellin import _complexes, _gauss_legendre, mellin_exact, term_plan
 
 PATH_M = 10  # ratio bound of the admissible path tube limits follow
 LIMIT_SAMPLES = 14  # tube integrals an admissible limit extrapolates from
@@ -130,7 +130,7 @@ def _tube_factors(k: int, j: Optional[int], f: Factor, p: int, radii: Sequence) 
         return [-2j * math.pi * float(rho.moment(f.a))] * len(radii)
     if j < p:
         # integral over |x|^(2k) = eps of x^a conj(x)^b rho / x^k dx
-        t0s = [float(r) ** (1.0 / k) for r in radii]
+        t0s = [float(r) ** (1.0 / k) for r in radii] if k > 1 else list(map(float, radii))
         circle = 2j * math.pi
         return [circle * t0**b * v for t0, v in zip(t0s, rho.values(t0s))]
     exterior = -2j * math.pi
@@ -138,10 +138,10 @@ def _tube_factors(k: int, j: Optional[int], f: Factor, p: int, radii: Sequence) 
         # exact tail, rounded once
         return [exterior * (num / den) for num, den in rho._tail_ratios(b, radii)]
     # k >= 2: the tail from t0 = eps^(1/k) in floats, each piece's hi^e computed once
-    knots = [float(x) for x in rho.knots]
+    _, _, float_pieces, knots = rho._float_view
     pieces = [
         (lo, hi, [(c, b + i + 1, hi ** (b + i + 1)) for i, c in enumerate(piece) if c])
-        for lo, hi, piece in zip(knots, knots[1:], rho._float_view[2])
+        for lo, hi, piece in zip(knots, knots[1:], float_pieces)
     ]
     out = []
     for r in radii:
@@ -244,7 +244,7 @@ def mellin_check(
 
     chart = spec.chart
     count = len(spec.eps)
-    lambdas = [[complex(z) for z in lam] for lam in lambdas]
+    lambdas = [_complexes(lam, "lambdas") for lam in lambdas]
     if any(len(lam) != count for lam in lambdas):
         raise InputError(f"expected {count} parameter values")
     if any(z.real < 2 for lam in lambdas for z in lam):
@@ -259,32 +259,39 @@ def mellin_check(
         k = sum(row)  # a diagonal row's one nonzero exponent
         knots = {x for term in testform.terms for x in term.factors[row.index(k)].rho.knots}
         supports.append(sorted({0.0} | {float(x) ** k for x in knots}))
-    # each factor row's panels (Gauss-Legendre nodes and weights), and the
-    # selected terms' factor values at all of a row's nodes, which no lambda reads
+    # per factor row, its panels as one (panels x 40) grid of nodes and weights;
+    # per selected term and variable, what no lambda reads: a spectator's
+    # constant, or the weights times the factor values on its row's grid
     gl_nodes, gl_w = _gauss_legendre(40)
-    size = len(gl_nodes)
-    panels = [
-        [(0.5 * (b - a) * gl_nodes + 0.5 * (b + a), 0.5 * (b - a) * gl_w) for a, b in _panels(support)]
-        for support in supports
-    ]
-    nodes = [[x for s, _ in row for x in s.tolist()] for row in panels]
-    factors = [
-        [_tube_factors(k, j, f, chart.p, [None] if j is None else nodes[j]) for k, j, f in variables]
+    grids = []
+    for support in supports:
+        ends = np.array(_panels(support), dtype=float).reshape(-1, 2, 1)
+        half, mid = 0.5 * (ends[:, 1] - ends[:, 0]), 0.5 * (ends[:, 1] + ends[:, 0])
+        s = half * gl_nodes + mid
+        grids.append((s, half * gl_w, s.ravel().tolist()))
+    weighted = [
+        [
+            _tube_factors(k, j, f, chart.p, [None])[0]
+            if j is None
+            else grids[j][1] * np.array(_tube_factors(k, j, f, chart.p, grids[j][2])).reshape(grids[j][1].shape)
+            for k, j, f in variables
+        ]
         for _, variables in terms
     ]
 
     rows = []
     for lam in lambdas:
+        kernels = [lam[j] * s ** (lam[j] - 1) for j, (s, _, _) in enumerate(grids)]
         total = 0j
-        for (val, variables), xs in zip(terms, factors):
+        for (val, variables), xs in zip(terms, weighted):
             for (_, j, _), x in zip(variables, xs):
                 if j is None:
-                    val *= x[0]
+                    val *= x
                     continue
+                # one sum per panel, added in panel order
                 transform = 0j
-                for i, (s, w) in enumerate(panels[j]):
-                    vals = np.array(x[i * size : (i + 1) * size])
-                    transform += np.sum(w * vals * (lam[j] * s ** (lam[j] - 1)))
+                for panel in np.add.reduce(x * kernels[j], axis=1).tolist():
+                    transform += panel
                 val *= transform
             total += val
         ref = exact.eval_complex(list(lam))

@@ -8,6 +8,12 @@
   reduces each summand once per pivot and runs one Horner pass per form.
 - `antichain_comprehension`: the one-line antichain that `deduction._antichain`
   writes as plain loops.
+- `det_by_fractions`: Gaussian elimination over `Fraction`; `leibniz.subset_determinant`
+  eliminates fraction-free (Bareiss) in integers.
+- `quad_variable_per_piece`: the radial quadrature with `float()` of each knot
+  and coefficient, Horner from `np.zeros_like` and `np.sum`; `mellin._quad_variable`
+  reads the profile's float view, starts from `0.0 * t` and sums with
+  `np.add.reduce`, to the same bits.
 """
 
 from fractions import Fraction
@@ -16,7 +22,7 @@ from typing import Iterable, Sequence, Tuple
 
 from residuelab import QI, AffineForm, MeroValue, RadialProfile
 from residuelab.linform import _normalized
-from residuelab.mellin import DivergenceError
+from residuelab.mellin import DivergenceError, _gauss_legendre
 from residuelab.merovalue import _PRIME, _decoded, _pivot
 from residuelab.poly import Poly
 
@@ -77,3 +83,46 @@ def antichain_comprehension(members: Iterable) -> frozenset:
     """Drop empty members and members strictly inside another."""
     mems = set(members)
     return frozenset(m for m in mems if m and not any(m & o == m and m != o for o in mems))
+
+
+def det_by_fractions(matrix: Sequence[Sequence[int]]) -> Fraction:
+    """Determinant by elimination over Fraction, one sign flip per row swap."""
+    m = [list(map(Fraction, row)) for row in matrix]
+    size = len(m)
+    det = Fraction(1)
+    for c in range(size):
+        piv = next((r for r in range(c, size) if m[r][c]), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != c:
+            m[c], m[piv] = m[piv], m[c]
+            det = -det
+        det *= m[c][c]
+        for r in range(c + 1, size):
+            if m[r][c]:
+                f = m[r][c] / m[c][c]
+                m[r] = [a - f * b for a, b in zip(m[r], m[c])]
+    return det
+
+
+def quad_variable_per_piece(mu: complex, u: int, rho: RadialProfile, nr: int) -> complex:
+    """Numeric integral over C of |x|^(2 mu) |x|^(2u) rho(|x|^2) dx ^ conj(dx),
+    converting the profile to floats on every call."""
+    import numpy as np
+
+    if rho.is_zero():
+        return 0j
+    nodes, weights = _gauss_legendre(nr)
+    radial = 0j
+    knots = [float(k) for k in rho.knots]
+    for a_t, b_t, piece in zip(knots, knots[1:], rho.pieces):
+        ra, rb = np.sqrt(a_t), np.sqrt(b_t)
+        r = 0.5 * (rb - ra) * nodes + 0.5 * (rb + ra)
+        w = 0.5 * (rb - ra) * weights
+        t = r * r
+        rho_t = np.zeros_like(t)
+        for k, c in reversed(list(enumerate(piece))):
+            rho_t = rho_t * t + float(c)
+        vals = np.exp((2 * mu + u + u + 1) * np.log(r)) * rho_t
+        radial += np.sum(w * vals)
+    return -2j * (2 * np.pi) * radial

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from residuelab import (
     ChartSpec,
@@ -17,10 +18,11 @@ from residuelab import (
     mellin_exact,
     rank_basis,
 )
-from residuelab.leibniz import halfspace_width, shape_violations
+from residuelab.leibniz import halfspace_width, shape_violations, subset_determinant
 from residuelab.mellin import chart_sum
 
 from corpus import absorbing_testform, random_chart, random_chart_scenario
+from engine_reference import det_by_fractions
 
 
 def test_rank_basis_examples():
@@ -184,3 +186,33 @@ def test_halfspace_width_value():
     chart = blowup_example().chart("z")
     # largest stacked column total is 2, so width 1/3 clears every shifted pole
     assert halfspace_width(chart) == Fraction(1, 3)
+
+
+@st.composite
+def _determinant_cases(draw):
+    """Rows of up to 4 integers, a few columns to spare, and the columns to
+    keep in any order: zeros are common, so pivots often need a row swap, and
+    a repeated row or column makes some matrices singular."""
+    size = draw(st.integers(0, 4))
+    width = size + draw(st.integers(0, 2))
+    entries = st.one_of(st.just(0), st.integers(-4, 4))
+    rows = [draw(st.lists(entries, min_size=width, max_size=width)) for _ in range(size)]
+    if size >= 2 and draw(st.booleans()):
+        rows[draw(st.integers(1, size - 1))] = list(rows[0])
+    cols = draw(st.permutations(range(1, width + 1)))[:size]
+    if size >= 2 and draw(st.booleans()):
+        cols[-1] = cols[0]
+    return rows, cols
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(case=_determinant_cases())
+@example(case=([[0, 1], [1, 0]], [1, 2]))
+@example(case=([[0, 0, 2], [0, 3, 1], [5, 1, 1]], [1, 2, 3]))
+@example(case=([[1, 2], [2, 4]], [1, 2]))
+def test_subset_determinant_equals_elimination_over_fractions(case):
+    # Bareiss in integers against Gaussian elimination over Fraction
+    rows, cols = case
+    want = det_by_fractions([[row[i - 1] for i in cols] for row in rows])
+    assert want.denominator == 1
+    assert repr(subset_determinant(rows, cols)) == repr(int(want))

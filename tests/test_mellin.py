@@ -9,6 +9,7 @@ from residuelab import (
     ChartSpec,
     ExactnessError,
     Factor,
+    InputError,
     LinForm,
     MeroValue,
     ProblemSignature,
@@ -30,13 +31,20 @@ from residuelab import (
     value_at_origin,
 )
 from residuelab.linform import AffineForm
-from residuelab.mellin import DimensionTooLargeError, DivergenceError, _gauss_legendre, radial_factor, term_plan
+from residuelab.mellin import (
+    DimensionTooLargeError,
+    DivergenceError,
+    _gauss_legendre,
+    _quad_variable,
+    radial_factor,
+    term_plan,
+)
 from residuelab.merovalue import PoleAtOriginError
 from residuelab.poly import Poly
 
 from affine_division import as_poly
 from corpus import random_chart_scenario
-from engine_reference import mellin_sum_by_additions
+from engine_reference import mellin_sum_by_additions, quad_variable_per_piece
 
 
 def simple_scenario(p, q, k=1, N=1, a=None, b=None, rho=None, slots=None):
@@ -289,8 +297,16 @@ def test_quadrature_dimension_guard():
         sc = random_chart_scenario(rng, nmax=4, pmax=2, qmax=2)
         if sc.signature.n == 4:
             break
-    with pytest.raises(DimensionTooLargeError):
+    with pytest.raises(DimensionTooLargeError) as info:
         mellin_quadrature(sc, sc.charts[0], [3.0] * sc.signature.nfactors)
+    # a shape the engine does not take is bad input, not an engine fault
+    assert isinstance(info.value, InputError)
+
+
+def test_quadrature_parameter_beyond_the_float_range_is_an_input_error():
+    sc = diagonal_scenario([1, 1], p=1)
+    with pytest.raises(InputError, match="lam: parameter value beyond the float range"):
+        mellin_quadrature(sc, sc.charts[0], [Fraction(10**400), 3])
 
 
 def test_quadrature_requires_convergence_zone():
@@ -365,3 +381,38 @@ def test_exact_quadrature_random_scenarios():
         q = mellin_quadrature(sc, sc.charts[0], [complex(x) for x in lam])
         assert abs(q.value - ref) / abs(ref) < 1e-6
         done += 1
+
+
+# --- the radial quadrature against the per-piece reference ---------------------
+
+_QUAD_KNOTS = (Fraction(0), Fraction(1, 5), Fraction(1, 3), Fraction(1, 2), Fraction(1), Fraction(7, 3))
+
+
+@st.composite
+def _quad_profiles(draw):
+    """1-3 pieces on knots among 0, 1/5, 1/3, 1/2, 1 and 7/3 (so a support
+    need not start at 0), some pieces all zero; or the zero profile."""
+    if draw(st.integers(0, 9)) == 0:
+        return RadialProfile.zero()
+    knots = sorted(draw(st.lists(st.sampled_from(_QUAD_KNOTS), min_size=2, max_size=4, unique=True)))
+    coeffs = st.builds(Fraction, st.integers(-7, 7), st.integers(1, 9))
+    pieces = tuple(tuple(draw(st.lists(coeffs, min_size=1, max_size=4))) for _ in knots[1:])
+    if draw(st.booleans()):
+        zero = draw(st.integers(0, len(pieces) - 1))
+        pieces = pieces[:zero] + ((Fraction(0),) * len(pieces[zero]),) + pieces[zero + 1 :]
+    return RadialProfile(tuple(knots), pieces)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(
+    mu=st.complex_numbers(max_magnitude=8, allow_nan=False, allow_infinity=False),
+    u=st.integers(0, 3),
+    rho=_quad_profiles(),
+    nr=st.sampled_from([24, 48]),
+)
+def test_quad_variable_equals_the_per_piece_reference_bit_for_bit(mu, u, rho, nr):
+    import numpy as np
+
+    with np.errstate(all="ignore"):
+        got, want = _quad_variable(mu, u, rho, nr), quad_variable_per_piece(mu, u, rho, nr)
+    assert repr(complex(got)) == repr(complex(want)), (mu, u, str(rho), nr)

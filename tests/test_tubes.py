@@ -597,3 +597,46 @@ def test_one_mellin_check_with_five_lambdas_equals_five_calls():
     rows = mellin_check(spec, tf, lams)
     singles = [row for lam in lams for row in mellin_check(spec, tf, [lam])]
     assert [repr(r) for r in rows] == [repr(r) for r in singles]
+
+
+def test_mellin_check_parameter_beyond_the_float_range_is_an_input_error():
+    sc = diagonal_scenario([1, 1], p=1)
+    chart = sc.charts[0]
+    spec = tube_spec_from_chart(chart, [Fraction(1, 100)] * 2)
+    with pytest.raises(InputError, match="lambdas: parameter value beyond the float range"):
+        mellin_check(spec, sc.testform(chart.name), [[Fraction(10**400), 3]])
+
+
+# --- the Mellin check against the per-panel reference ------------------------
+
+
+@st.composite
+def _check_cases(draw):
+    """A diagonal tube of 1-3 factors at any p, each variable's factor drawn
+    from bumps and polynomials on [0, 1], and 1-3 real or complex lambdas."""
+    ks = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    p = draw(st.integers(0, len(ks)))
+    profiles = st.one_of(
+        st.builds(RadialProfile.bump, st.integers(1, 3)),
+        st.builds(RadialProfile.on_unit, st.lists(_rationals, min_size=1, max_size=3)),
+    )
+    factors = None
+    if draw(st.booleans()):
+        factors = [Factor(draw(st.integers(0, 3)), draw(st.integers(0, 2)), draw(profiles)) for _ in ks]
+    sc = diagonal_scenario(ks, p=p, factors=factors)
+    re = st.floats(2, 6, allow_nan=False)
+    im = st.one_of(st.just(0.0), st.floats(-4, 4, allow_nan=False))
+    lam = st.lists(st.builds(complex, re, im), min_size=len(ks), max_size=len(ks))
+    return sc, draw(st.lists(lam, min_size=1, max_size=3))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(case=_check_cases())
+def test_mellin_check_equals_the_per_panel_reference_bit_for_bit(case):
+    sc, lambdas = case
+    chart = sc.charts[0]
+    spec = tube_spec_from_chart(chart, [Fraction(1, 100)] * chart.n)
+    tf = sc.testform(chart.name)
+    got = mellin_check(spec, tf, lambdas)
+    want = tube_reference.mellin_check_per_panel(spec, tf, lambdas)
+    assert [repr(row) for row in got] == [repr(row) for row in want]
