@@ -221,8 +221,8 @@ class Scenario:
             out["metadata"] = self.metadata
         return out
 
-    def to_json(self, **kw) -> str:
-        return json.dumps(self.to_obj(), sort_keys=True, **kw)
+    def to_json(self) -> str:
+        return json.dumps(self.to_obj(), sort_keys=True)
 
 
 def parse_scenario(document) -> Scenario:

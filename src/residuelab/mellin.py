@@ -15,7 +15,7 @@ from functools import lru_cache
 from math import lcm, prod
 from typing import Dict, Optional, Sequence, Tuple, Union
 
-from .charts import ChartSpec, Factor, InputError, Scenario, SeparableTestForm
+from .charts import ChartSpec, Factor, InputError, Scenario, ScenarioError, SeparableTestForm
 from .gaussian import QI
 from .leibniz import check_units, subset_determinant
 from .linform import AffineForm, _normalized
@@ -26,11 +26,7 @@ from .profiles import ExactnessError, RadialProfile
 QUAD_NODES = 24  # radial nodes of the coarse quadrature pass; the fine pass doubles them
 
 
-class DimensionTooLargeError(InputError):
-    """The quadrature takes at most three variables."""
-
-
-class FloatRangeError(ValueError):
+class FloatRangeError(InputError):
     """The quadrature leaves the float range: its integrand overflows at the parameter point."""
 
 
@@ -190,11 +186,11 @@ def extreme_pole(v: MeroValue) -> Optional[Fraction]:
 
 
 def _complexes(values: Sequence, name: str) -> list:
-    """Parameter values as complex floats; one beyond the float range is bad input."""
+    """Values a float path reads, as complex floats; one beyond the float range is bad input."""
     try:
         return [complex(z) for z in values]
     except OverflowError:
-        raise InputError(f"{name}: parameter value beyond the float range") from None
+        raise ScenarioError(name, "value beyond the float range") from None
 
 
 @dataclass(frozen=True)
@@ -267,8 +263,6 @@ def mellin_quadrature(
     """
     chart = _resolve_chart(scenario, chart)
     sig = scenario.signature
-    if sig.n > 3:
-        raise DimensionTooLargeError("DimensionTooLarge: quadrature supports n <= 3")
     lam = _complexes(lam, "lam")
     if len(lam) != sig.nfactors:
         raise InputError(f"expected {sig.nfactors} parameter values")

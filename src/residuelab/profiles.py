@@ -186,9 +186,6 @@ class RadialProfile:
             pieces.append(tuple(out))
         return RadialProfile(self.knots, tuple(pieces))
 
-    def scale(self, c) -> "RadialProfile":
-        return self.mul_poly([c])
-
     def moment_tail(self, b: int, t0) -> Fraction:
         """Exact integral of t^b * rho(t) over [t0, support end], summed in integers."""
         return Fraction(*self._tail_ratios(b, (t0,))[0])

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .charts import ChartSpec, Factor, InputError, ProblemSignature, Scenario, SeparableTestForm
+from .charts import ChartSpec, Factor, InputError, ProblemSignature, Scenario, ScenarioError, SeparableTestForm
 from .mellin import _complexes, _gauss_legendre, mellin_exact, term_plan
 
 PATH_M = 10  # ratio bound of the admissible path tube limits follow
@@ -54,14 +54,11 @@ class TubeSpec:
             raise InputError("exponents must be >= 1")
         if len(self.eps) != len(rows):
             raise InputError(f"expected {len(rows)} tube radii")
+        floats = _complexes(self.eps, "eps")  # the tube paths read radii as floats
         if any(e <= 0 for e in self.eps):
-            raise InputError("tube radii must be positive")
-        try:  # the tube paths read radii as floats
-            floats = [float(e) for e in self.eps]
-        except OverflowError:
-            raise InputError("tube radii must be finite as floats: 2^1024 or more overflows") from None
+            raise ScenarioError("eps", "tube radii must be positive")
         if not all(floats):
-            raise InputError("tube radii must be positive as floats: 2^-1075 or less rounds to 0.0")
+            raise ScenarioError("eps", "tube radii must be positive as floats: 2^-1075 or less rounds to 0.0")
 
 
 def tube_spec_from_chart(chart: ChartSpec, eps: Sequence[Fraction]) -> TubeSpec:
@@ -203,23 +200,6 @@ class MellinCheckRow:
     sign: int
 
 
-def _panels(bounds: List[float]) -> List[Tuple[float, float]]:
-    out = []
-    for a, b in zip(bounds, bounds[1:]):
-        if b <= a:
-            continue
-        # geometric refinement toward 0 keeps s^(lam-1) accurate
-        if a == 0.0:
-            left = b
-            for _ in range(10):
-                out.append((left / 2, left))
-                left /= 2
-            out.append((0.0, left))
-        else:
-            out.append((a, b))
-    return out
-
-
 def mellin_check(
     spec: TubeSpec,
     testform: SeparableTestForm,
@@ -235,10 +215,12 @@ def mellin_check(
 
         sum over terms of  coeff * sign(orientation) * (-1)^p * prod_j M_j(lam_j),
 
-    where M_j is the one-variable transform of factor j (Gauss-Legendre, 40
-    nodes per panel) and a spectator variable contributes its constant factor.
-    `rel_error` is |transform - reference| / |reference|, with the README's
-    sign +1; `sign` is the better-fitting sign, for diagnosis only.
+    where M_j is the one-variable transform of factor j and a spectator
+    variable contributes its constant factor.  The reference, `mellin_exact`,
+    runs first and accepts only profiles on [0, 1], so every M_j integrates
+    over s in [0, 1], on one grid shared by all factor rows.  `rel_error` is
+    |transform - reference| / |reference|, with the README's sign +1; `sign`
+    is the better-fitting sign, for diagnosis only.
     """
     import numpy as np
 
@@ -253,27 +235,20 @@ def mellin_check(
     exact = mellin_exact(Scenario(signature, (chart,), {chart.name: testform}), chart)
     terms = _tube_terms(chart, testform)
 
-    # knots of the tube integrand in each s_j: images of profile knots
-    supports = []
-    for row in chart.rows():
-        k = sum(row)  # a diagonal row's one nonzero exponent
-        knots = {x for term in testform.terms for x in term.factors[row.index(k)].rho.knots}
-        supports.append(sorted({0.0} | {float(x) ** k for x in knots}))
-    # per factor row, its panels as one (panels x 40) grid of nodes and weights;
-    # per selected term and variable, what no lambda reads: a spectator's
-    # constant, or the weights times the factor values on its row's grid
+    # the grid on [0, 1]: 40 Gauss-Legendre nodes on each of the panels (1/2, 1),
+    # (1/4, 1/2), ..., (2^-10, 2^-9), then (0, 2^-10), refined toward 0 to keep
+    # s^(lam - 1) accurate.  Per selected term and variable, what no lambda
+    # reads: a spectator's constant, or the weights times the factor values
     gl_nodes, gl_w = _gauss_legendre(40)
-    grids = []
-    for support in supports:
-        ends = np.array(_panels(support), dtype=float).reshape(-1, 2, 1)
-        half, mid = 0.5 * (ends[:, 1] - ends[:, 0]), 0.5 * (ends[:, 1] + ends[:, 0])
-        s = half * gl_nodes + mid
-        grids.append((s, half * gl_w, s.ravel().tolist()))
+    ends = np.array([(2.0**-i, 2.0 ** (1 - i)) for i in range(1, 11)] + [(0.0, 2.0**-10)]).reshape(-1, 2, 1)
+    half, mid = 0.5 * (ends[:, 1] - ends[:, 0]), 0.5 * (ends[:, 1] + ends[:, 0])
+    s, w = half * gl_nodes + mid, half * gl_w
+    nodes = s.ravel().tolist()
     weighted = [
         [
             _tube_factors(k, j, f, chart.p, [None])[0]
             if j is None
-            else grids[j][1] * np.array(_tube_factors(k, j, f, chart.p, grids[j][2])).reshape(grids[j][1].shape)
+            else w * np.array(_tube_factors(k, j, f, chart.p, nodes)).reshape(w.shape)
             for k, j, f in variables
         ]
         for _, variables in terms
@@ -281,7 +256,7 @@ def mellin_check(
 
     rows = []
     for lam in lambdas:
-        kernels = [lam[j] * s ** (lam[j] - 1) for j, (s, _, _) in enumerate(grids)]
+        kernels = [z * s ** (z - 1) for z in lam]
         total = 0j
         for (val, variables), xs in zip(terms, weighted):
             for (_, j, _), x in zip(variables, xs):

@@ -91,6 +91,16 @@ def test_eval_command(capsys, blowup_file):
     assert obj["verdicts"][0]["pass"] is True
 
 
+def test_eval_checks_the_quadrature_on_four_variables(capsys, tmp_path):
+    # the quadrature takes any number of variables, so eval checks n = 4 against it
+    path = tmp_path / "diag4.json"
+    path.write_text(diagonal_scenario([1, 1, 2, 1], p=2).to_json())
+    code, out = run(capsys, "eval", str(path), "--lam", "3,3,3,3", "--format", "json")
+    assert code == 0
+    (verdict,) = json.loads(out)["verdicts"]
+    assert verdict["name"] == "exact-vs-quadrature" and verdict["pass"] is True
+
+
 def test_global_command(capsys, blowup_file):
     code, out = run(capsys, "global", blowup_file, "--format", "json")
     assert code == 0

@@ -603,8 +603,21 @@ def test_mellin_check_parameter_beyond_the_float_range_is_an_input_error():
     sc = diagonal_scenario([1, 1], p=1)
     chart = sc.charts[0]
     spec = tube_spec_from_chart(chart, [Fraction(1, 100)] * 2)
-    with pytest.raises(InputError, match="lambdas: parameter value beyond the float range"):
+    with pytest.raises(InputError, match="lambdas: value beyond the float range"):
         mellin_check(spec, sc.testform(chart.name), [[Fraction(10**400), 3]])
+
+
+def test_mellin_check_ignores_terms_selection_drops():
+    # angular selection drops the twisted term, so its 1/3 knots, which no
+    # transform reads, must not move the grid
+    sc = diagonal_scenario([1, 1], p=1)
+    chart = sc.charts[0]
+    tf = sc.testform(chart.name)
+    twisted = SeparableTerm(QI.one(), (Factor(0, 0, THIRD_KNOT), Factor(2, 0, THIRD_KNOT)), frozenset({2}))
+    spec = tube_spec_from_chart(chart, [Fraction(1, 100)] * 2)
+    lambdas = [[3, 3], [2.25, 4.5]]
+    got = mellin_check(spec, SeparableTestForm(tf.terms + (twisted,)), lambdas)
+    assert [repr(row) for row in got] == [repr(row) for row in mellin_check(spec, tf, lambdas)]
 
 
 # --- the Mellin check against the per-panel reference ------------------------

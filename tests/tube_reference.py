@@ -3,9 +3,11 @@
 - `tube_factor`: `tubes._tube_factors` evaluates one variable's factor over a
   whole list of radii; this is the plain one-radius evaluation it must match
   bit for bit, built on the per-call formulas of `profile_reference`.
-- `mellin_check_per_panel`: the Mellin check with one array and one `np.sum`
-  per panel per lambda; `tubes.mellin_check` sums a factor row's whole grid
-  at once, panel by panel, to the same bits.
+- `mellin_check_per_panel`: the Mellin check with panels placed by each factor
+  row's profile knots, and one array and one `np.sum` per panel per lambda.
+  `tubes.mellin_check` sums one fixed grid on [0, 1] at once, panel by panel;
+  on the profiles `mellin_exact` accepts, the knots give that grid, and the
+  two agree bit for bit.
 """
 
 import math
@@ -14,7 +16,7 @@ from fractions import Fraction
 import profile_reference
 from residuelab import ProblemSignature, Scenario, mellin_exact
 from residuelab.mellin import _gauss_legendre
-from residuelab.tubes import MellinCheckRow, _panels, _tube_factors, _tube_terms
+from residuelab.tubes import MellinCheckRow, _tube_factors, _tube_terms
 
 
 def tube_factor(k, j, f, p, eps) -> complex:
@@ -47,6 +49,24 @@ def _moment_tail_float(rho, b: int, t0: float) -> float:
             e = b + k + 1
             total += float(c) * (hi**e - lo**e) / e
     return total
+
+
+def _panels(bounds):
+    """Panels between the knots `bounds`; one that starts at 0 is refined
+    geometrically toward 0, to keep s^(lam-1) accurate."""
+    out = []
+    for a, b in zip(bounds, bounds[1:]):
+        if b <= a:
+            continue
+        if a == 0.0:
+            left = b
+            for _ in range(10):
+                out.append((left / 2, left))
+                left /= 2
+            out.append((0.0, left))
+        else:
+            out.append((a, b))
+    return out
 
 
 def mellin_check_per_panel(spec, testform, lambdas):
