@@ -211,43 +211,66 @@ def _gauss_legendre(n: int):
     return nodes, weights
 
 
-def _quad_variable(mu: complex, u: int, rho: RadialProfile, nr: int) -> complex:
-    """Numeric integral over C of |x|^(2 mu) |x|^(2u) rho(|x|^2) dx ^ conj(dx):
-    the angle gives exactly 2 pi, so only the radius is integrated."""
+@lru_cache(maxsize=64)
+def _radial_grid(a_t: float, b_t: float):
+    """log r, weights and t = r^2 at the coarse nodes, then at the fine ones,
+    of the radius interval (sqrt(a_t), sqrt(b_t)); computed once per interval
+    and shared read-only, like the rules themselves."""
+    import numpy as np
+
+    rules = zip(_gauss_legendre(QUAD_NODES), _gauss_legendre(2 * QUAD_NODES))
+    nodes, weights = (np.concatenate(pair) for pair in rules)
+    ra, rb = np.sqrt(a_t), np.sqrt(b_t)
+    r = 0.5 * (rb - ra) * nodes + 0.5 * (rb + ra)
+    grid = (np.log(r), 0.5 * (rb - ra) * weights, r * r)
+    for arr in grid:
+        arr.flags.writeable = False
+    return grid
+
+
+def _quad_variable(mu: complex, u: int, rho: RadialProfile) -> Tuple[complex, complex]:
+    """Numeric integral over C of |x|^(2 mu) |x|^(2u) rho(|x|^2) dx ^ conj(dx)
+    by the coarse and by the fine rule: the angle gives exactly 2 pi, so only
+    the radius is integrated.  Each piece is evaluated once on both rules'
+    nodes, and each rule's half is summed as its own contiguous array."""
     import numpy as np
 
     if rho.is_zero():
-        return 0j
-    nodes, weights = _gauss_legendre(nr)
+        return 0j, 0j
     _, _, pieces, knots = rho._float_view
-    radial = 0j
+    coarse = fine = 0j
     for a_t, b_t, piece in zip(knots, knots[1:], pieces):
-        ra, rb = np.sqrt(a_t), np.sqrt(b_t)
-        r = 0.5 * (rb - ra) * nodes + 0.5 * (rb + ra)
-        w = 0.5 * (rb - ra) * weights
-        t = r * r
+        log_r, w, t = _radial_grid(a_t, b_t)
         rho_t = 0.0 * t
         for c in reversed(piece):
             rho_t = rho_t * t + c
         # x^u conj(x)^u: u added twice, not 2u, for the roundings of the pinned quadrature values
-        vals = np.exp((2 * mu + u + u + 1) * np.log(r)) * rho_t
-        radial += np.add.reduce(w * vals)
-    return -2j * (2 * np.pi) * radial
+        wvals = w * (np.exp((2 * mu + u + u + 1) * log_r) * rho_t)
+        coarse += np.add.reduce(wvals[:QUAD_NODES])
+        fine += np.add.reduce(wvals[QUAD_NODES:])
+    return -2j * (2 * np.pi) * coarse, -2j * (2 * np.pi) * fine
 
 
-def _quad_total(plan: Sequence[PlannedTerm], p: int, lam: Sequence[complex], nr: int) -> complex:
-    def term_value(term: PlannedTerm) -> complex:
+def _quad_total(plan: Sequence[PlannedTerm], p: int, lam: Sequence[complex]) -> Tuple[complex, complex]:
+    """The chart's value by the coarse and by the fine rule, each term's two
+    products formed side by side; a product that reaches zero stays 0j."""
+
+    def term_values(term: PlannedTerm) -> Tuple[complex, complex]:
         total = term.coeff.as_complex() * term.orientation
         for t in range(p):
             total *= lam[t]
+        products = [total, total]  # None once zero
         for column, u, f in term.variables:
+            if all(x is None for x in products):
+                break
             mu = sum(c * lam[j] for j, c in enumerate(column))
-            total *= _quad_variable(mu, u, f.rho, nr)
-            if not total:
-                return 0j
-        return total
+            for k, q in enumerate(_quad_variable(mu, u, f.rho)):
+                if products[k] is not None:
+                    products[k] = products[k] * q or None
+        return tuple(0j if x is None else x for x in products)
 
-    return sum([term_value(term) for term in plan], 0j)
+    values = [term_values(term) for term in plan]
+    return sum([c for c, _ in values], 0j), sum([f for _, f in values], 0j)
 
 
 def mellin_quadrature(
@@ -258,24 +281,24 @@ def mellin_quadrature(
     """Gauss-Legendre radial quadrature of the chart integrand at a fixed
     parameter point, over the terms `term_plan` keeps.
 
-    Deterministic: one coarse and one refined radial schedule, the difference
-    serving as the error estimate.
+    Deterministic: a coarse and a refined radial rule, the difference serving
+    as the error estimate.  One grid per piece carries both rules, so each
+    variable is evaluated once per call.
     """
     chart = _resolve_chart(scenario, chart)
     sig = scenario.signature
     lam = _complexes(lam, "lam")
     if len(lam) != sig.nfactors:
-        raise InputError(f"expected {sig.nfactors} parameter values")
+        raise ScenarioError("lam", f"expected {sig.nfactors} parameter values")
     if any(z.real < 2 for z in lam):
-        raise InputError("quadrature needs Re(lambda_j) >= 2 (absolute convergence zone)")
+        raise ScenarioError("lam", "quadrature needs Re(lambda_j) >= 2 (absolute convergence zone)")
     import cmath
 
     import numpy as np
 
     plan = term_plan(chart, scenario.testform(chart.name), sig.N)
     with np.errstate(all="ignore"):  # an overflow shows as a non-finite value, checked below
-        coarse = _quad_total(plan, sig.p, lam, QUAD_NODES)
-        fine = _quad_total(plan, sig.p, lam, 2 * QUAD_NODES)
+        coarse, fine = _quad_total(plan, sig.p, lam)
     if not (cmath.isfinite(coarse) and cmath.isfinite(fine)):
         raise FloatRangeError("the quadrature leaves the float range at this point")
     return QuadResult(fine, abs(fine - coarse))

@@ -53,7 +53,7 @@ class TubeSpec:
         if any(sum(row) < 1 for row in rows):
             raise InputError("exponents must be >= 1")
         if len(self.eps) != len(rows):
-            raise InputError(f"expected {len(rows)} tube radii")
+            raise ScenarioError("eps", f"expected {len(rows)} tube radii")
         floats = _complexes(self.eps, "eps")  # the tube paths read radii as floats
         if any(e <= 0 for e in self.eps):
             raise ScenarioError("eps", "tube radii must be positive")
@@ -228,9 +228,9 @@ def mellin_check(
     count = len(spec.eps)
     lambdas = [_complexes(lam, "lambdas") for lam in lambdas]
     if any(len(lam) != count for lam in lambdas):
-        raise InputError(f"expected {count} parameter values")
+        raise ScenarioError("lambdas", f"expected {count} parameter values")
     if any(z.real < 2 for lam in lambdas for z in lam):
-        raise InputError("mellin_check needs Re(lambda) >= 2")
+        raise ScenarioError("lambdas", "mellin_check needs Re(lambda) >= 2")
     signature = ProblemSignature(chart.n, chart.p, chart.q, 1)
     exact = mellin_exact(Scenario(signature, (chart,), {chart.name: testform}), chart)
     terms = _tube_terms(chart, testform)

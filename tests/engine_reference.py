@@ -11,18 +11,31 @@
 - `det_by_fractions`: Gaussian elimination over `Fraction`; `leibniz.subset_determinant`
   eliminates fraction-free (Bareiss) in integers.
 - `quad_variable_per_piece`: the radial quadrature with `float()` of each knot
-  and coefficient, Horner from `np.zeros_like` and `np.sum`; `mellin._quad_variable`
-  reads the profile's float view, starts from `0.0 * t` and sums with
-  `np.add.reduce`, to the same bits.
+  and coefficient, one rule per call, Horner from `np.zeros_like` and `np.sum`;
+  `mellin._quad_variable` reads the profile's float view, evaluates both rules
+  on one cached grid per piece, starts from `0.0 * t` and sums each rule's half
+  with `np.add.reduce`, to the same bits.
+- `quadrature_by_two_passes`: `mellin_quadrature` with the coarse and the fine
+  rule each run as its own pass over the plan, every variable integrated once
+  per rule by `quad_variable_per_piece`; `mellin._quad_total` forms both rules'
+  products side by side, each coefficient converted once, to the same bits.
 """
 
 from fractions import Fraction
 from operator import mul
 from typing import Iterable, Sequence, Tuple
 
-from residuelab import QI, AffineForm, MeroValue, RadialProfile
+from residuelab import QI, AffineForm, MeroValue, RadialProfile, Scenario
 from residuelab.linform import _normalized
-from residuelab.mellin import DivergenceError, _gauss_legendre
+from residuelab.mellin import (
+    QUAD_NODES,
+    DivergenceError,
+    FloatRangeError,
+    PlannedTerm,
+    QuadResult,
+    _gauss_legendre,
+    term_plan,
+)
 from residuelab.merovalue import _PRIME, _decoded, _pivot
 from residuelab.poly import Poly
 
@@ -126,3 +139,39 @@ def quad_variable_per_piece(mu: complex, u: int, rho: RadialProfile, nr: int) ->
         vals = np.exp((2 * mu + u + u + 1) * np.log(r)) * rho_t
         radial += np.sum(w * vals)
     return -2j * (2 * np.pi) * radial
+
+
+def quad_total_two_pass(plan: Sequence[PlannedTerm], p: int, lam: Sequence[complex], nr: int) -> complex:
+    """The chart's value by the nr-node rule: each term's product over its
+    variables, 0j once it reaches zero."""
+
+    def term_value(term: PlannedTerm) -> complex:
+        total = term.coeff.as_complex() * term.orientation
+        for t in range(p):
+            total *= lam[t]
+        for column, u, f in term.variables:
+            mu = sum(c * lam[j] for j, c in enumerate(column))
+            total *= quad_variable_per_piece(mu, u, f.rho, nr)
+            if not total:
+                return 0j
+        return total
+
+    return sum([term_value(term) for term in plan], 0j)
+
+
+def quadrature_by_two_passes(scenario: Scenario, lam: Sequence[complex]) -> QuadResult:
+    """The quadrature of the scenario's first chart at the float point lam,
+    one pass per rule: the fine value and its distance to the coarse one."""
+    import cmath
+
+    import numpy as np
+
+    chart = scenario.charts[0]
+    sig = scenario.signature
+    plan = term_plan(chart, scenario.testform(chart.name), sig.N)
+    with np.errstate(all="ignore"):
+        coarse = quad_total_two_pass(plan, sig.p, lam, QUAD_NODES)
+        fine = quad_total_two_pass(plan, sig.p, lam, 2 * QUAD_NODES)
+    if not (cmath.isfinite(coarse) and cmath.isfinite(fine)):
+        raise FloatRangeError("the quadrature leaves the float range at this point")
+    return QuadResult(fine, abs(fine - coarse))

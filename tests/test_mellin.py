@@ -33,8 +33,10 @@ from residuelab import (
 from residuelab.linform import AffineForm
 from residuelab.mellin import (
     DivergenceError,
+    FloatRangeError,
     _gauss_legendre,
     _quad_variable,
+    _radial_grid,
     radial_factor,
     term_plan,
 )
@@ -42,8 +44,8 @@ from residuelab.merovalue import PoleAtOriginError
 from residuelab.poly import Poly
 
 from affine_division import as_poly
-from corpus import random_chart_scenario
-from engine_reference import mellin_sum_by_additions, quad_variable_per_piece
+from corpus import absorbing_testform, random_chart_scenario
+from engine_reference import mellin_sum_by_additions, quad_variable_per_piece, quadrature_by_two_passes
 
 
 def simple_scenario(p, q, k=1, N=1, a=None, b=None, rho=None, slots=None):
@@ -328,11 +330,13 @@ def test_quadrature_requires_convergence_zone():
 
 
 def test_gauss_legendre_rule_is_read_only():
-    nodes, weights = _gauss_legendre(24)
-    assert _gauss_legendre(24)[0] is nodes
-    for arr in (nodes, weights):
-        with pytest.raises(ValueError):
-            arr[0] = 0.0
+    # the rule, and the quadrature's radial grid built from it
+    for cached in (lambda: _gauss_legendre(24), lambda: _radial_grid(0.0, 1.0)):
+        arrays = cached()
+        assert all(a is b for a, b in zip(cached(), arrays))
+        for arr in arrays:
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
 
 
 def _criterion_8_strata():
@@ -420,11 +424,59 @@ def _quad_profiles(draw):
     mu=st.complex_numbers(max_magnitude=8, allow_nan=False, allow_infinity=False),
     u=st.integers(0, 3),
     rho=_quad_profiles(),
-    nr=st.sampled_from([24, 48]),
 )
-def test_quad_variable_equals_the_per_piece_reference_bit_for_bit(mu, u, rho, nr):
+def test_quad_variable_equals_the_per_piece_reference_bit_for_bit(mu, u, rho):
+    # one grid per piece carries both rules: each must equal its own rule run alone
     import numpy as np
 
     with np.errstate(all="ignore"):
-        got, want = _quad_variable(mu, u, rho, nr), quad_variable_per_piece(mu, u, rho, nr)
-    assert repr(complex(got)) == repr(complex(want)), (mu, u, str(rho), nr)
+        got = _quad_variable(mu, u, rho)
+        want = (quad_variable_per_piece(mu, u, rho, 24), quad_variable_per_piece(mu, u, rho, 48))
+    assert [repr(complex(z)) for z in got] == [repr(complex(z)) for z in want], (mu, u, str(rho))
+
+
+@st.composite
+def _quad_charts(draw):
+    """A one-chart scenario with n = 1..3 variables and p = 0..2, a test form
+    whose terms have the divisibility angular selection keeps (those with a
+    zero subset determinant are dropped), every profile from `_quad_profiles`,
+    on some terms a zero profile after a nonzero variable; and a point with
+    Re(lambda_j) >= 2, some entries so large that a profile reaching past
+    t = 1 overflows while one on [0, 1] underflows to zero."""
+    n = draw(st.integers(1, 3))
+    p = draw(st.integers(0, min(2, n)))
+    q = draw(st.integers(0 if p else 1, 2))
+    row = st.tuples(*[st.integers(0, 2)] * n)
+    alpha = tuple(draw(st.lists(row.filter(any), min_size=p, max_size=p)))
+    beta = tuple(draw(st.lists(row, min_size=q, max_size=q)))
+    jac = draw(st.tuples(*[st.integers(0, 1)] * n))
+    chart = ChartSpec("c", alpha, beta, jac, draw(st.sampled_from([1, -1])))
+    terms = []
+    for term in absorbing_testform(draw(st.randoms(use_true_random=False)), chart, n_terms=3).terms:
+        factors = [Factor(f.a, f.b, draw(_quad_profiles())) for f in term.factors]
+        if n > 1 and draw(st.integers(0, 3)) == 3:
+            zero = draw(st.integers(1, n - 1))
+            factors[zero] = Factor(factors[zero].a, factors[zero].b, RadialProfile.zero())
+        terms.append(SeparableTerm(term.coeff, tuple(factors), term.dbar_slots))
+    sc = Scenario(ProblemSignature(n, p, q, 1), (chart,), {"c": SeparableTestForm(tuple(terms))})
+    moderate = st.builds(complex, st.floats(2, 8), st.floats(-4, 4))
+    lam = [1000 + 0j if draw(st.integers(0, 4)) == 4 else draw(moderate) for _ in range(p + q)]
+    return sc, lam
+
+
+def _quadrature_outcome(run):
+    try:
+        q = run()
+    except FloatRangeError:
+        return "FloatRangeError"
+    return repr(complex(q.value)), repr(float(q.error))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(case=_quad_charts())
+def test_quadrature_equals_the_two_pass_reference_bit_for_bit(case):
+    # both rules formed side by side, each term's coefficient converted once,
+    # give the value and error of running each rule as its own pass
+    sc, lam = case
+    got = _quadrature_outcome(lambda: mellin_quadrature(sc, sc.charts[0], lam))
+    assert got == _quadrature_outcome(lambda: quadrature_by_two_passes(sc, lam)), (sc.to_json(), lam)

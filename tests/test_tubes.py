@@ -17,6 +17,7 @@ from residuelab import (
     QI,
     RadialProfile,
     Scenario,
+    ScenarioError,
     SeparableTerm,
     SeparableTestForm,
     TubeSpec,
@@ -275,7 +276,9 @@ def test_gauss_legendre_rules_computed_once_per_node_count(monkeypatch):
         return leggauss(n)
 
     monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
+    # the quadrature's radial grids are built from the rules, so they go too
     mellin._gauss_legendre.cache_clear()
+    mellin._radial_grid.cache_clear()
     try:
         # a two-term, n = 3 quadrature runs six variables in each of its passes
         sc = blowup_example()
@@ -288,6 +291,7 @@ def test_gauss_legendre_rules_computed_once_per_node_count(monkeypatch):
         mellin_check(spec, check.testform(check.charts[0].name), [[3.0, 4.0], [2.5, 3.5]])
     finally:
         mellin._gauss_legendre.cache_clear()
+        mellin._radial_grid.cache_clear()
     assert sorted(calls) == [24, 40, 48]
 
 
@@ -474,6 +478,25 @@ def test_mellin_check_lam_length_is_the_factor_count(lam):
     spec = tube_spec_from_chart(sc.charts[0], [Fraction(1, 100)] * 2)
     with pytest.raises(ValueError, match="expected 2 parameter values"):
         mellin_check(spec, sc.testform(sc.charts[0].name), [[3.0, 3.0], lam])
+
+
+@pytest.mark.parametrize(
+    "call, path",
+    [
+        (lambda sc, spec: mellin_quadrature(sc, sc.charts[0], [3.0]), "lam"),
+        (lambda sc, spec: mellin_quadrature(sc, sc.charts[0], [1.5, 3.0]), "lam"),
+        (lambda sc, spec: mellin_check(spec, sc.testform(sc.charts[0].name), [[3.0]]), "lambdas"),
+        (lambda sc, spec: mellin_check(spec, sc.testform(sc.charts[0].name), [[3.0, 1.5]]), "lambdas"),
+        (lambda sc, spec: TubeSpec(sc.charts[0], (Fraction(1, 4),)), "eps"),
+    ],
+    ids=["quadrature-length", "quadrature-zone", "check-length", "check-zone", "radius-count"],
+)
+def test_parameter_errors_name_the_parameter(call, path):
+    sc = diagonal_scenario([1, 1], p=1)
+    spec = tube_spec_from_chart(sc.charts[0], [Fraction(1, 100)] * 2)
+    with pytest.raises(ScenarioError) as info:
+        call(sc, spec)
+    assert info.value.path == path
 
 
 def test_tube_spec_needs_one_positive_radius_per_factor():
