@@ -2,6 +2,8 @@
 for monomial residue-integral data, with tube-integral numerics and a
 support-level analyticity deduction engine."""
 
+from types import ModuleType as _ModuleType
+
 from .charts import (
     ChartSpec,
     Factor,
@@ -15,6 +17,7 @@ from .charts import (
     blowup_parts,
     diagonal_scenario,
     parse_scenario,
+    pullback,
 )
 from .deduction import (
     CurrentSymbol,
@@ -68,4 +71,4 @@ from .tubes import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [n for n in dir() if not n.startswith("_") and not isinstance(globals()[n], _ModuleType)]

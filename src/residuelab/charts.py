@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import add, mul
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from .gaussian import QI
@@ -392,80 +393,76 @@ def example_profiles(profile_degree: int = 2, seed: Optional[int] = None):
     return jitter(), jitter(), jitter()
 
 
-def _unit_indicator() -> RadialProfile:
-    return RadialProfile.on_unit([1])
-
-
-def _poly_coeffs(rho: RadialProfile) -> Tuple[Fraction, ...]:
-    if rho.is_zero():
-        return ()
-    if not rho.is_exact_class():
-        raise ValueError("profile must live on [0,1] for the built-in construction")
-    return rho.pieces[0]
-
-
-def blowup_example(
-    profile_degree: int = 2, seed: Optional[int] = None, profiles=None
-) -> Scenario:
-    """Two-chart axis blow-up scenario whose factor pullbacks are genuine.
-
-    Chart "z" covers |x3/x2| bounded, chart "zeta" the reciprocal patch; the
-    partition of unity on the exceptional line is the exact indicator split
-    at radius 1, so every radial integral stays rational.
+def pullback(base: Scenario, name: str, subst) -> Tuple[ChartSpec, SeparableTestForm]:
+    """The chart `name` and test form that the base scenario's one chart pulls
+    back to under x_i = prod_j z_j^S_ij, S = `subst`: alpha.S, beta.S,
+    jac'_j = sum_i (jac_i + 1) S_ij - 1 and det S times the sign.  A variable
+    whose row is a unit vector e_j keeps its factor on z_j, the others expand
+    their profiles into monomials, and any other z_j carries the unit indicator.
+    Raises ValueError unless S >= 0 with det S = +-1, every expanded profile is
+    in the exact class and every conjugate slot is on a variable that is kept.
     """
-    rho_phi, rho2, rho3 = profiles if profiles is not None else example_profiles(
-        profile_degree, seed
-    )
-    if rho_phi.value_at_zero() == 0 or rho2.value_at_zero() == 0 or rho3.value_at_zero() == 0:
+    from .leibniz import subset_determinant  # leibniz imports this module
+
+    (chart,) = base.charts
+    n, S = chart.n, [tuple(r) for r in subst]
+    if len(S) != n or any(len(r) != n or min(r) < 0 for r in S):
+        raise ValueError(f"substitution must be a nonnegative {n} x {n} matrix")
+    det = subset_determinant(S, range(1, n + 1))
+    if abs(det) != 1:
+        raise ValueError(f"substitution determinant must be +-1, got {det}")
+    cols = list(zip(*S))
+
+    def times(v):
+        return tuple(sum(map(mul, v, col)) for col in cols)
+
+    jac = tuple(v - 1 for v in times([e + 1 for e in chart.jac]))
+    alpha, beta = map(times, chart.alpha), map(times, chart.beta)
+    spec = ChartSpec(name, alpha, beta, jac, det * chart.sign, chart.unit_flags)
+    kept = {r.index(1): i for i, r in enumerate(S) if sum(r) == 1}  # z_j -> the x_i with row e_j
+    one, unit, terms = QI.one(), RadialProfile.on_unit([1]), []
+    for t in base.testform(chart.name).terms:
+        if not all(s - 1 in kept.values() for s in t.dbar_slots):
+            raise ValueError("a conjugate slot's variable must keep its factor")
+        rhos = [t.factors[kept[j]].rho if j in kept else unit for j in range(n)]
+        slots = frozenset(S[s - 1].index(1) + 1 for s in t.dbar_slots)
+        a, b = times([f.a for f in t.factors]), times([f.b for f in t.factors])
+        # one (coefficient, m.S) per monomial choice m; a unit coefficient is
+        # `one` itself, so its first product is skipped by identity
+        partial = [(one if t.coeff == one else t.coeff, [0] * n)]
+        for i in (i for i in range(n) if i not in kept.values()):
+            partial = [
+                (QI(c) if k is one else k * c, [d + m * s for d, s in zip(ds, S[i])])
+                for k, ds in partial
+                for m, c in t.factors[i].rho.mellin_terms()
+            ]
+        for k, ds in partial:
+            factors = map(Factor, map(add, a, ds), map(add, b, ds), rhos)
+            terms.append(SeparableTerm(k, factors, slots))
+    return spec, SeparableTestForm(terms)
+
+
+def blowup_example(profile_degree: int = 2, seed: Optional[int] = None, profiles=None) -> Scenario:
+    """Two-chart axis blow-up: `blowup_base` pulled back by `pullback` along
+    x3 = z2*z3 (chart "z", |x3/x2| bounded) and x2 = z2*z3 (chart "zeta", the
+    reciprocal patch).  The partition of unity on the exceptional line is the
+    exact indicator split at radius 1, so every radial integral stays rational.
+    """
+    profiles = tuple(profiles) if profiles is not None else example_profiles(profile_degree, seed)
+    if any(rho.value_at_zero() == 0 for rho in profiles):
         raise ValueError("profiles must not vanish at the origin")
-    sig = ProblemSignature(n=3, p=2, q=1, N=1)
-    chart_z = ChartSpec(
-        "z", alpha=((0, 1, 0), (0, 1, 1)), beta=((1, 0, 0),), jac=(0, 1, 0), sign=1
-    )
-    chart_zeta = ChartSpec(
-        "zeta", alpha=((0, 1, 1), (0, 1, 0)), beta=((1, 0, 0),), jac=(0, 1, 0), sign=-1
-    )
-    dphi = rho_phi.derivative()
-    part = _unit_indicator()
-
-    def pullback_terms(inner: RadialProfile, composed: RadialProfile):
-        # composed(w) = P(|w|^2) restricted to |w| <= 1; substituting the
-        # product of two unit-disc variables turns t^j into paired exponents.
-        terms = []
-        for j, c in enumerate(_poly_coeffs(composed)):
-            if not c:
-                continue
-            terms.append(
-                SeparableTerm(
-                    QI.of(c),
-                    (
-                        Factor(1, 0, dphi),
-                        Factor(j, j, inner),
-                        Factor(j, j, part),
-                    ),
-                    frozenset({1}),
-                )
-            )
-        return SeparableTestForm(tuple(terms))
-
-    testforms = {
-        "z": pullback_terms(rho2, rho3),
-        "zeta": pullback_terms(rho3, rho2),
-    }
+    base = blowup_base(profiles=profiles)
+    subst = {"z": [[1, 0, 0], [0, 1, 0], [0, 1, 1]], "zeta": [[1, 0, 0], [0, 1, 1], [0, 1, 0]]}
+    charts, testforms = zip(*(pullback(base, name, s) for name, s in subst.items()))
     metadata = {
-        "substitutions": {
-            "z": [[1, 0, 0], [0, 1, 0], [0, 1, 1]],
-            "zeta": [[1, 0, 0], [0, 1, 1], [0, 1, 0]],
-        },
-        "base_alpha": [[0, 1, 0], [0, 0, 1]],
-        "base_beta": [[1, 0, 0]],
+        "substitutions": subst,
+        "base_alpha": [list(r) for r in base.charts[0].alpha],
+        "base_beta": [list(r) for r in base.charts[0].beta],
         "profile_values_at_zero": {
-            "phi": str(rho_phi.value_at_zero()),
-            "phi2": str(rho2.value_at_zero()),
-            "phi3": str(rho3.value_at_zero()),
+            k: str(rho.value_at_zero()) for k, rho in zip(("phi", "phi2", "phi3"), profiles)
         },
     }
-    return Scenario(sig, (chart_z, chart_zeta), testforms, metadata)
+    return Scenario(base.signature, charts, dict(zip(subst, testforms)), metadata)
 
 
 def blowup_base(profile_degree: int = 2, seed: Optional[int] = None, profiles=None) -> Scenario:

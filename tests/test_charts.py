@@ -1,17 +1,30 @@
 import functools
+import hashlib
 import io
+import itertools
 import json
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from residuelab import (
     ChartSpec,
+    ExactnessError,
     ProblemSignature,
+    RadialProfile,
     ScenarioError,
+    blowup_base,
     blowup_example,
+    mellin_exact,
     parse_scenario,
+    pullback,
 )
+from residuelab.charts import example_profiles
 from residuelab.extforms import d_monomial, wedge
+from residuelab.mellin import chart_sum
+from toric_towers import cone_substitution, farey_cones, tower
 
 
 MINIMAL = {
@@ -148,6 +161,16 @@ def test_pv_divisor_vars():
     assert c3.pv_divisor_vars() == frozenset({2, 3})
 
 
+def test_blowup_example_bytes_pinned():
+    # recorded before the charts were derived by `pullback`: every degree and seed, both paths
+    h = hashlib.sha256()
+    for d in range(1, 9):
+        for s in (None, 1, 2, 3, 4, 5):
+            h.update(blowup_example(d, s).to_json().encode() + b"\n")
+            h.update(blowup_example(profiles=example_profiles(d, s)).to_json().encode() + b"\n")
+    assert h.hexdigest() == "b7574b577d2cbb1f780a1183940de7df57f46240aa0f0c7c6603d9264bca26a1"
+
+
 def test_blowup_example_rows():
     sc = blowup_example()
     z = sc.chart("z")
@@ -158,14 +181,22 @@ def test_blowup_example_rows():
     assert z.pv_divisor_vars() == zeta.pv_divisor_vars() == frozenset({1})
 
 
+def _tower_charts():
+    # one fixed Farey tower, every cone under every column order (det +1 and -1)
+    base = blowup_base()
+    for cone in farey_cones([0, 1, 0, 2, 5, 3]):
+        for order in itertools.permutations(range(3)):
+            rows = cone_substitution(cone, order)
+            yield pullback(base, "c", rows)[0], rows
+
+
 def test_blowup_substitutions_reproduce_chart_data():
     sc = blowup_example()
     subst = sc.metadata["substitutions"]
     base_alpha = sc.metadata["base_alpha"]
     base_beta = sc.metadata["base_beta"]
-    for name in ("z", "zeta"):
-        chart = sc.chart(name)
-        rows = subst[name]
+    inputs = [(sc.chart(name), subst[name]) for name in ("z", "zeta")] + list(_tower_charts())
+    for chart, rows in inputs:
 
         def compose(v):
             out = [0, 0, 0]
@@ -183,6 +214,44 @@ def test_blowup_substitutions_reproduce_chart_data():
         ((exps, c),) = list(coeff.terms.items())
         assert exps == chart.jac
         assert c == chart.sign
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(
+    insertions=st.lists(st.integers(0, 9), min_size=1, max_size=6),
+    orders=st.lists(st.permutations(range(3)), min_size=7, max_size=7),
+    seed=st.integers(1, 10**6),
+)
+def test_toric_towers_sum_to_the_base_value(insertions, orders, seed):
+    # the continued integral does not depend on the resolution: 2-7 charts of a
+    # regular fan over the (x2, x3) block, columns in random order, jittered profiles
+    base = blowup_base(profiles=example_profiles(1, seed))
+    cones = farey_cones(insertions)
+    sc = tower(base, [cone_substitution(c, o) for c, o in zip(cones, orders)])
+    assert chart_sum(sc)[0] == mellin_exact(base, "base")
+
+
+@pytest.mark.parametrize(
+    "rows, match",
+    [
+        ([[1, 0, 0], [0, 1, 0]], "nonnegative 3 x 3"),
+        ([[1, 0, 0], [0, 1, -1], [0, 0, 1]], "nonnegative 3 x 3"),
+        ([[1, 0, 0], [0, 2, 0], [0, 0, 1]], "determinant must be"),
+        ([[1, 1, 0], [0, 1, 0], [0, 0, 1]], "conjugate slot"),
+    ],
+)
+def test_pullback_rejects_what_it_cannot_pull_back(rows, match):
+    with pytest.raises(ValueError, match=match):
+        pullback(blowup_base(), "c", rows)
+
+
+def test_pullback_expands_only_exact_profiles():
+    bump = RadialProfile.bump(2)
+    split = RadialProfile((0, Fraction(1, 2), 1), ((1,), (1, -1)))
+    base = blowup_base(profiles=(bump, split, bump))
+    pullback(base, "z", [[1, 0, 0], [0, 1, 0], [0, 1, 1]])  # x2 keeps its factor
+    with pytest.raises(ExactnessError):
+        pullback(base, "zeta", [[1, 0, 0], [0, 1, 1], [0, 1, 0]])
 
 
 def test_without_chart():

@@ -408,7 +408,8 @@ _QUAD_KNOTS = (Fraction(0), Fraction(1, 5), Fraction(1, 3), Fraction(1, 2), Frac
 def _quad_profiles(draw):
     """1-3 pieces on knots among 0, 1/5, 1/3, 1/2, 1 and 7/3 (so a support
     need not start at 0), some pieces all zero; or the zero profile."""
-    if draw(st.integers(0, 9)) == 0:
+    # the maximal draw, as in `_quad_charts`: derandomized draws favour the minimal one
+    if draw(st.integers(0, 9)) == 9:
         return RadialProfile.zero()
     knots = sorted(draw(st.lists(st.sampled_from(_QUAD_KNOTS), min_size=2, max_size=4, unique=True)))
     coeffs = st.builds(Fraction, st.integers(-7, 7), st.integers(1, 9))

@@ -1,6 +1,7 @@
 import re
 from fractions import Fraction
 from pathlib import Path
+from types import ModuleType
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -15,3 +16,13 @@ def test_library_entry_points_block_runs():
     assert [str(f) for f in cert.sorted_forms()] == ["L1+L2"]
     assert cert.halfspace.eps == Fraction(1, 3)
     assert namespace["trace"].analytic
+    assert namespace["z"] == namespace["sc"].chart("z")
+    assert namespace["tf"] == namespace["sc"].testform("z")
+
+
+def test_all_exports_no_module():
+    # `from residuelab import *` gives the API, not the submodules behind it
+    import residuelab
+
+    assert residuelab.__all__
+    assert not [n for n in residuelab.__all__ if isinstance(getattr(residuelab, n), ModuleType)]
