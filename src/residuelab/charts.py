@@ -449,7 +449,7 @@ def blowup_example(profile_degree: int = 2, seed: Optional[int] = None, profiles
     exact indicator split at radius 1, so every radial integral stays rational.
     """
     profiles = tuple(profiles) if profiles is not None else example_profiles(profile_degree, seed)
-    if any(rho.value_at_zero() == 0 for rho in profiles):
+    if any(rho.value(0) == 0 for rho in profiles):
         raise ValueError("profiles must not vanish at the origin")
     base = blowup_base(profiles=profiles)
     subst = {"z": [[1, 0, 0], [0, 1, 0], [0, 1, 1]], "zeta": [[1, 0, 0], [0, 1, 1], [0, 1, 0]]}
@@ -459,17 +459,15 @@ def blowup_example(profile_degree: int = 2, seed: Optional[int] = None, profiles
         "base_alpha": [list(r) for r in base.charts[0].alpha],
         "base_beta": [list(r) for r in base.charts[0].beta],
         "profile_values_at_zero": {
-            k: str(rho.value_at_zero()) for k, rho in zip(("phi", "phi2", "phi3"), profiles)
+            k: str(rho.value(0)) for k, rho in zip(("phi", "phi2", "phi3"), profiles)
         },
     }
     return Scenario(base.signature, charts, dict(zip(subst, testforms)), metadata)
 
 
-def blowup_base(profile_degree: int = 2, seed: Optional[int] = None, profiles=None) -> Scenario:
+def blowup_base(profiles=None) -> Scenario:
     """The same integral before blowing up: a single identity chart."""
-    rho_phi, rho2, rho3 = profiles if profiles is not None else example_profiles(
-        profile_degree, seed
-    )
+    rho_phi, rho2, rho3 = profiles if profiles is not None else example_profiles()
     sig = ProblemSignature(n=3, p=2, q=1, N=1)
     chart = ChartSpec(
         "base", alpha=((0, 1, 0), (0, 0, 1)), beta=((1, 0, 0),), jac=(0, 0, 0), sign=1
@@ -515,7 +513,6 @@ def diagonal_scenario(
     p: int,
     N: int = 1,
     factors: Optional[Sequence[Factor]] = None,
-    name: str = "diag",
 ) -> Scenario:
     """Scenario for f_i = x_i^{k_i} on distinct variables, first p under dbar.
 
@@ -531,7 +528,7 @@ def diagonal_scenario(
     beta = tuple(
         tuple(ks[i] if j == i else 0 for j in range(n)) for i in range(p, n)
     )
-    chart = ChartSpec(name, alpha, beta, (0,) * n, 1)
+    chart = ChartSpec("diag", alpha, beta, (0,) * n, 1)
     if factors is None:
         bump = RadialProfile.bump(2)
         fs = []
@@ -544,4 +541,4 @@ def diagonal_scenario(
                 fs.append(Factor(N * ks[i], 0, bump))
         factors = tuple(fs)
     term = SeparableTerm(QI.one(), tuple(factors), frozenset(range(p + 1, n + 1)))
-    return Scenario(sig, (chart,), {name: SeparableTestForm((term,))})
+    return Scenario(sig, (chart,), {"diag": SeparableTestForm((term,))})

@@ -63,7 +63,6 @@ class Report:
         if tolerance is not None:
             entry["tolerance"] = tolerance
         self.verdicts.append(entry)
-        return ok
 
     @property
     def ok(self) -> bool:
@@ -91,7 +90,7 @@ class Report:
                 extra += f"  value={_short(v['value'])}"
             if "reference" in v:
                 extra += f"  reference={_short(v['reference'])}"
-            if "tolerance" in v and v["tolerance"] is not None:
+            if "tolerance" in v:
                 extra += f"  tol={v['tolerance']}"
             lines.append(f"  [{status}] {v['name']}{extra}")
         lines.append(f"  verdict: {'ok' if self.ok else 'FAILED'}  (elapsed {elapsed:.3f}s)")
@@ -115,9 +114,12 @@ def _read_json(path: str) -> tuple:
         raise ScenarioError(path, f"not UTF-8 JSON: {exc}") from None
 
 
-def _load_scenario(path: str) -> tuple[Scenario, dict]:
+def _load_scenario(path: str, report: Report) -> Scenario:
+    """The scenario in the file, with its path and SHA-256 recorded as the report's inputs."""
     obj, sha256 = _read_json(path)
-    return parse_scenario(obj), {"scenario": str(Path(path)), "sha256": sha256}
+    scenario = parse_scenario(obj)
+    report.inputs.update(scenario=str(Path(path)), sha256=sha256)
+    return scenario
 
 
 def _fractions(text: str, flag: str, count: Optional[int] = None) -> List[Fraction]:
@@ -192,8 +194,7 @@ def _complex_obj(z: complex) -> dict:
 
 
 def cmd_poles(args, report: Report) -> None:
-    scenario, inputs = _load_scenario(args.scenario)
-    report.inputs.update(inputs)
+    scenario = _load_scenario(args.scenario, report)
     p = scenario.signature.p
     certs = []
     for chart in scenario.charts:
@@ -226,8 +227,7 @@ def cmd_poles(args, report: Report) -> None:
 
 
 def cmd_eval(args, report: Report) -> None:
-    scenario, inputs = _load_scenario(args.scenario)
-    report.inputs.update(inputs)
+    scenario = _load_scenario(args.scenario, report)
     chart = _chart(scenario, args.chart)
     lam = _fractions(args.lam, "--lam", scenario.signature.nfactors)
     value = mellin_exact(scenario, chart)
@@ -252,8 +252,7 @@ def cmd_eval(args, report: Report) -> None:
 
 
 def cmd_global(args, report: Report) -> None:
-    scenario, inputs = _load_scenario(args.scenario)
-    report.inputs.update(inputs)
+    scenario = _load_scenario(args.scenario, report)
     total, _ = chart_sum(scenario)
     report.results["value"] = total.to_obj()
     report.results["value_pretty"] = str(total)
@@ -266,8 +265,7 @@ def cmd_global(args, report: Report) -> None:
 
 
 def cmd_residue(args, report: Report) -> None:
-    scenario, inputs = _load_scenario(args.scenario)
-    report.inputs.update(inputs)
+    scenario = _load_scenario(args.scenario, report)
     form = _form(args.form, "--form", scenario.signature.nfactors)
     point = _fractions(args.point, "--point", scenario.signature.nfactors)
     if form.eval(point) != 0:
@@ -292,8 +290,7 @@ def cmd_residue(args, report: Report) -> None:
 
 
 def cmd_tube(args, report: Report) -> None:
-    scenario, inputs = _load_scenario(args.scenario)
-    report.inputs.update(inputs)
+    scenario = _load_scenario(args.scenario, report)
     testform, spec = _tube(scenario, args.chart, args.eps)
     val = tube_integral(spec, testform)
     report.results["tube_integral"] = _complex_obj(val)
@@ -319,8 +316,7 @@ def cmd_tube(args, report: Report) -> None:
 
 
 def cmd_mellin_check(args, report: Report) -> None:
-    scenario, inputs = _load_scenario(args.scenario)
-    report.inputs.update(inputs)
+    scenario = _load_scenario(args.scenario, report)
     testform, spec = _tube(scenario, args.chart, None)
     lambdas = [_fractions(tok, "--lam", scenario.signature.nfactors) for tok in args.lam]
     if any(x < 2 for lam in lambdas for x in lam):

@@ -13,10 +13,35 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, Mapping, Sequence, Tuple
 
-from .orientation import inversion_parity
 from .poly import Poly
 
 IndexTuple = Tuple[int, ...]
+
+
+def inversion_parity(seq: Sequence[int]) -> int:
+    sign = 1
+    for i in range(len(seq)):
+        for j in range(i + 1, len(seq)):
+            if seq[i] > seq[j]:
+                sign = -sign
+    return sign
+
+
+def dbar_front_sign(dbar_front: Iterable[int], n: int, dbar_slots: Iterable[int]) -> int:
+    """Sign for (conj dx_{i in front}) ^ (dx_1..dx_n) ^ (conj dx_{j in slots}).
+
+    Differentials are coded as integers (dx_i -> 2(i-1), conjugate dx_i ->
+    2(i-1)+1); the sign of sorting a symbol sequence into the per-variable
+    block order dx_1, conj dx_1, dx_2, ... is the parity of its inversions.
+    The reference orientation pairs each dx ^ conj(dx) with -2i times the
+    Euclidean area form.
+    """
+    seq = (
+        [2 * (i - 1) + 1 for i in sorted(dbar_front)]
+        + [2 * (i - 1) for i in range(1, n + 1)]
+        + [2 * (j - 1) + 1 for j in sorted(dbar_slots)]
+    )
+    return inversion_parity(seq)
 
 
 def _sorted_signed(idx: Sequence[int]) -> Tuple[IndexTuple, int]:
@@ -259,7 +284,7 @@ def form_from_obj(obj: dict, nvars: int, path: str = "form") -> PolyForm:
     if not isinstance(obj, dict) or "degree" not in obj or not isinstance(obj.get("terms"), list):
         raise ScenarioError(path, "expected {degree, terms}")
     degree = _int(obj["degree"], f"{path}.degree", 0)
-    terms: Dict[IndexTuple, Poly] = {}
+    form = PolyForm.zero(nvars, degree)
     for ti, t in enumerate(obj["terms"]):
         tb = f"{path}.terms[{ti}]"
         if not isinstance(t, dict):
@@ -286,14 +311,8 @@ def form_from_obj(obj: dict, nvars: int, path: str = "form") -> PolyForm:
             exps = [_int(v, f"{tb}.poly[{mi}].exps[{k}]", 0) for k, v in enumerate(exps)]
             coeff = _rational(mono.get("coeff"), f"{tb}.poly[{mi}].coeff")
             poly = poly + Poly.monomial(nvars, exps, coeff)
-        sidx, sign = _sorted_signed(idx)
-        if sign == 0:
-            continue
-        if sign < 0:
-            poly = -poly
-        existing = terms.get(sidx)
-        terms[sidx] = poly if existing is None else existing + poly
-    return PolyForm(nvars, degree, terms)
+        form = form + PolyForm.basis(nvars, idx, poly)
+    return form
 
 
 def form_to_obj(form: PolyForm) -> dict:

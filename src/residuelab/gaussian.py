@@ -51,18 +51,6 @@ class QI:
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return QI(self.re - o.re, self.im - o.im)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return QI(o.re - self.re, o.im - self.im)
-
     def __neg__(self) -> "QI":
         return QI(-self.re, -self.im)
 
@@ -108,6 +96,3 @@ class QI:
         mag = abs(self.im)
         istr = "i" if mag == 1 else f"{mag}*i"
         return f"{self.re}{sign}{istr}"
-
-    def __repr__(self) -> str:
-        return f"QI({self.re!r}, {self.im!r})"

@@ -16,11 +16,11 @@ from math import lcm, prod
 from typing import Dict, Optional, Sequence, Tuple, Union
 
 from .charts import ChartSpec, Factor, InputError, Scenario, ScenarioError, SeparableTestForm
+from .extforms import dbar_front_sign
 from .gaussian import QI
 from .leibniz import check_units, subset_determinant
 from .linform import AffineForm, _normalized
 from .merovalue import MeroValue, TokenScalar
-from .orientation import dbar_front_sign
 from .profiles import ExactnessError, RadialProfile
 
 QUAD_NODES = 24  # radial nodes of the coarse quadrature pass; the fine pass doubles them

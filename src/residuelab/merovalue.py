@@ -103,14 +103,6 @@ class TokenScalar:
 
         return self.coeff.as_complex() * (2j * math.pi) ** self.power
 
-    def __mul__(self, other):
-        if isinstance(other, TokenScalar):
-            return TokenScalar(self.coeff * other.coeff, self.power + other.power)
-        return TokenScalar(self.coeff * other, self.power)
-
-    def __neg__(self):
-        return TokenScalar(-self.coeff, self.power)
-
     def __str__(self):
         if not self.coeff:
             return "0"
@@ -346,14 +338,13 @@ class MeroValue:
     """Build values with zero, const, monomial, in_one_form or from_poly; the
     constructor takes the integer representation as is."""
 
-    __slots__ = ("nvars", "den", "token_pow", "_terms", "_content", "_reduced", "_num")
+    __slots__ = ("nvars", "den", "token_pow", "_terms", "_content", "_reduced")
 
     def __init__(self, nvars: int, terms: Terms, content: int = 1, den=(), token_pow: int = 0,
                  reduced: bool = False):
         self.nvars = nvars
         self._terms = terms
         self._content = content
-        self._num: Optional[Poly] = None
         if not terms:
             den, token_pow = (), 0
         self.den: Tuple[Tuple[AffineForm, int], ...] = den
@@ -369,14 +360,12 @@ class MeroValue:
 
     @property
     def num(self) -> Poly:
-        """The numerator as a polynomial over Q(i)."""
-        if self._num is None:
-            c = self._content
-            p = Poly(self.nvars)
-            terms = _decoded(self._terms.items(), self.nvars)
-            p.terms = {e: QI(Fraction(re, c), Fraction(im, c)) for e, (re, im) in terms}
-            self._num = p
-        return self._num
+        """The numerator as a new polynomial over Q(i) on each read."""
+        c = self._content
+        p = Poly(self.nvars)
+        terms = _decoded(self._terms.items(), self.nvars)
+        p.terms = {e: QI(Fraction(re, c), Fraction(im, c)) for e, (re, im) in terms}
+        return p
 
     @staticmethod
     def zero(nvars: int) -> "MeroValue":

@@ -62,6 +62,8 @@ class RadialProfile:
     def __post_init__(self):
         knots = tuple(_frac(k) for k in self.knots)
         pieces = tuple(tuple(_frac(c) for c in p) for p in self.pieces)
+        if len(knots) == 1:
+            raise ValueError("need no knots, or at least two")
         if knots:
             if len(pieces) != len(knots) - 1:
                 raise ValueError("need one polynomial piece per knot interval")
@@ -138,11 +140,6 @@ class RadialProfile:
                     acc = acc * t + c
             out.append(acc)
         return out
-
-    def value_at_zero(self) -> Fraction:
-        if not self.knots or self.knots[0] != 0 or not self.pieces[0]:
-            return Fraction(0)
-        return self.pieces[0][0]
 
     def is_exact_class(self) -> bool:
         if self.is_zero():
@@ -222,9 +219,6 @@ class RadialProfile:
                 wd = dpow * d**b
                 out.append((hn * wd - acc * n ** (b + 1) * den, hd * wd))
         return out
-
-    def moment(self, b: int) -> Fraction:
-        return self.moment_tail(b, Fraction(0))
 
     def to_obj(self) -> dict:
         return {

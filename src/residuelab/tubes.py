@@ -124,7 +124,7 @@ def _tube_factors(k: int, j: Optional[int], f: Factor, p: int, radii: Sequence) 
     float operations, and gets the bits, of evaluating it alone."""
     rho, b = f.rho, f.b
     if j is None:
-        return [-2j * math.pi * float(rho.moment(f.a))] * len(radii)
+        return [-2j * math.pi * float(rho.moment_tail(f.a, 0))] * len(radii)
     if j < p:
         # integral over |x|^(2k) = eps of x^a conj(x)^b rho / x^k dx
         t0s = [float(r) ** (1.0 / k) for r in radii] if k > 1 else list(map(float, radii))

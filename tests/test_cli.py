@@ -101,6 +101,13 @@ def test_eval_checks_the_quadrature_on_four_variables(capsys, tmp_path):
     assert verdict["name"] == "exact-vs-quadrature" and verdict["pass"] is True
 
 
+def test_table_report_prints_the_verdict_tolerance(capsys, diagonal_file):
+    code, out = run(capsys, "eval", diagonal_file, "--lam", "3,3")
+    assert code == 0
+    (line,) = [ln for ln in out.splitlines() if "exact-vs-quadrature" in ln]
+    assert line.startswith("  [PASS] exact-vs-quadrature  value=") and line.endswith("  tol=1e-06")
+
+
 def test_global_command(capsys, blowup_file):
     code, out = run(capsys, "global", blowup_file, "--format", "json")
     assert code == 0

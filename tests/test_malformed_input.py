@@ -18,7 +18,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from residuelab import blowup_example, diagonal_scenario, parse_scenario
+from residuelab import RadialProfile, blowup_example, diagonal_scenario, parse_scenario
 from residuelab.charts import ScenarioError
 from residuelab.cli import main
 from residuelab.extforms import PolyForm, form_from_obj, form_to_obj
@@ -200,3 +200,20 @@ def test_tol_string_is_a_tolerance_or_input_error(flag_documents, token):
     for argv in TOL_RUNS:
         code = _assert_no_engine_fault(flag_documents, argv, f"--tol={token}")
         assert (code != 2) == tolerance, (argv, token, code)
+
+
+def test_one_knot_profile_is_input_error(tmp_path):
+    # one knot bounds no interval, so it has no piece to evaluate on
+    with pytest.raises(ValueError, match="at least two"):
+        RadialProfile((0,), ())
+    doc = diagonal_scenario([1, 1, 1], p=1).to_obj()
+    doc["testforms"]["diag"]["terms"][0]["factors"][0]["rho"] = {"knots": [[0, 1]], "pieces": []}
+    with pytest.raises(ScenarioError) as exc:
+        parse_scenario(doc)
+    assert exc.value.path == "testforms['diag'].terms[0].factors[0].rho"
+    file = tmp_path / "one-knot.json"
+    file.write_text(json.dumps(doc))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        assert main(["tube", str(file)]) == 2
+    assert "testforms['diag'].terms[0].factors[0].rho" in err.getvalue()

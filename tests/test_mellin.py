@@ -216,7 +216,7 @@ def test_blowup_identities_hold_for_random_profiles():
         total = (mellin_exact(sc, "z") + mellin_exact(sc, "zeta")).reduced()
         parts = mellin_exact(blowup_parts(profiles=profiles), "parts")
         assert total == parts
-        phi0 = profiles[0].value_at_zero() * profiles[1].value_at_zero() * profiles[2].value_at_zero()
+        phi0 = profiles[0].value(0) * profiles[1].value(0) * profiles[2].value(0)
         assert value_at_origin(total) == token(-phi0, 3)
 
 

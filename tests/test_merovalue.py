@@ -12,6 +12,7 @@ from residuelab.merovalue import (
     MeroError,
     PoleAtOriginError,
     TokenPowerError,
+    TokenScalar,
     _cancel,
     _decoded,
     _divide,
@@ -126,6 +127,23 @@ def test_value_at_origin_and_pole_error():
     assert "L1+L2" in str(err.value)
     w = MeroValue.from_poly(Poly.const(2, QI.of(3)), [(AffineForm((1, 0), 2), 1)])
     assert w.value_at_origin().coeff == QI.of(Fraction(3, 2))
+
+
+def test_num_is_a_fresh_poly_on_each_read():
+    v = MeroValue.from_poly(lam(2, 1) + Poly.const(2, QI.of(3)), [(AffineForm((1, 1)), 1)])
+    printed, obj = str(v), v.to_obj()
+    v.num.terms.clear()
+    assert str(v) == printed and v.to_obj() == obj
+    assert v.num == lam(2, 1) + Poly.const(2, QI.of(3))
+
+
+def test_printed_gaussian_coefficients():
+    # `eval` prints these strings, and its reports are hashed byte for byte
+    F = Fraction
+    coeffs = [QI.of(0, 1), QI.of(0, -1), QI.of(0, F(1, 2)), QI.of(3, -1), QI.of(F(1, 2), F(3, 2))]
+    assert [str(c) for c in coeffs] == ["i", "-i", "1/2*i", "3-i", "1/2+3/2*i"]
+    scalars = [TokenScalar(QI.of(2), k) for k in (0, 1, 3)]
+    assert [str(t) for t in scalars] == ["2", "(2)*(2*pi*i)", "(2)*(2*pi*i)^3"]
 
 
 def test_residue_simple_pole():

@@ -98,5 +98,5 @@ def test_moment_tail_edges():
     # beyond the support, at its end and below its start
     assert OFFSET.moment_tail(0, F(3)) == 0
     assert OFFSET.moment_tail(3, F(2)) == 0
-    assert OFFSET.moment_tail(2, F(0)) == OFFSET.moment(2) == profile_reference.moment_tail(OFFSET, 2, 0)
-    assert RadialProfile.on_unit([1]).moment(0) == 1
+    assert OFFSET.moment_tail(2, F(0)) == OFFSET.moment_tail(2, 0) == profile_reference.moment_tail(OFFSET, 2, 0)
+    assert RadialProfile.on_unit([1]).moment_tail(0, 0) == 1
