@@ -10,11 +10,11 @@ public API and the file format.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import add, mul
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
+from .frozen import Frozen, _set
 from .gaussian import QI
 from .profiles import InputError, RadialProfile
 
@@ -47,47 +47,44 @@ def _int(v, path: str, minimum: Optional[int] = None) -> int:
     return v
 
 
-@dataclass(frozen=True)
-class ProblemSignature:
-    n: int
-    p: int
-    q: int
-    N: int = 1
-
-    def __post_init__(self):
-        if self.n < 1:
+class ProblemSignature(Frozen):
+    def __init__(self, n: int, p: int, q: int, N: int = 1):
+        if n < 1:
             raise ScenarioError("signature.n", "dimension must be >= 1")
-        if self.p < 0 or self.q < 0:
+        if p < 0 or q < 0:
             raise ScenarioError("signature", "p and q must be nonnegative")
-        if self.p + self.q < 1:
+        if p + q < 1:
             raise ScenarioError("signature", "need at least one factor (p+q >= 1)")
-        if self.N < 1:
+        if N < 1:
             raise ScenarioError("signature.N", "power must be >= 1")
-        if self.p > self.n:
+        if p > n:
             raise ScenarioError("signature", "p cannot exceed the dimension n")
+        _set(self, "n", n)
+        _set(self, "p", p)
+        _set(self, "q", q)
+        _set(self, "N", N)
 
     @property
     def nfactors(self) -> int:
         return self.p + self.q
 
 
-@dataclass(frozen=True)
-class ChartSpec:
-    name: str
-    alpha: Tuple[Tuple[int, ...], ...]
-    beta: Tuple[Tuple[int, ...], ...]
-    jac: Tuple[int, ...]
-    sign: int = 1
-    unit_flags: Tuple[bool, ...] = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "alpha", tuple(tuple(r) for r in self.alpha))
-        object.__setattr__(self, "beta", tuple(tuple(r) for r in self.beta))
-        object.__setattr__(self, "jac", tuple(self.jac))
-        if not self.unit_flags:
-            object.__setattr__(
-                self, "unit_flags", (False,) * (len(self.alpha) + len(self.beta))
-            )
+class ChartSpec(Frozen):
+    def __init__(
+        self,
+        name: str,
+        alpha: Tuple[Tuple[int, ...], ...],
+        beta: Tuple[Tuple[int, ...], ...],
+        jac: Tuple[int, ...],
+        sign: int = 1,
+        unit_flags: Tuple[bool, ...] = (),
+    ):
+        _set(self, "name", name)
+        _set(self, "alpha", tuple(tuple(r) for r in alpha))
+        _set(self, "beta", tuple(tuple(r) for r in beta))
+        _set(self, "jac", tuple(jac))
+        _set(self, "sign", sign)
+        _set(self, "unit_flags", unit_flags or (False,) * (len(self.alpha) + len(self.beta)))
 
     @property
     def n(self) -> int:
@@ -121,47 +118,40 @@ class ChartSpec:
         )
 
 
-@dataclass(frozen=True)
-class Factor:
-    a: int
-    b: int
-    rho: RadialProfile
-
-    def __post_init__(self):
-        if self.a < 0 or self.b < 0:
+class Factor(Frozen):
+    def __init__(self, a: int, b: int, rho: RadialProfile):
+        if a < 0 or b < 0:
             raise ValueError("monomial exponents must be nonnegative")
+        _set(self, "a", a)
+        _set(self, "b", b)
+        _set(self, "rho", rho)
 
 
-@dataclass(frozen=True)
-class SeparableTerm:
-    coeff: QI
-    factors: Tuple[Factor, ...]
-    dbar_slots: frozenset
-
-    def __post_init__(self):
-        object.__setattr__(self, "factors", tuple(self.factors))
-        object.__setattr__(self, "dbar_slots", frozenset(self.dbar_slots))
+class SeparableTerm(Frozen):
+    def __init__(self, coeff: QI, factors: Tuple[Factor, ...], dbar_slots: frozenset):
+        _set(self, "coeff", coeff)
+        _set(self, "factors", tuple(factors))
+        _set(self, "dbar_slots", frozenset(dbar_slots))
 
 
-@dataclass(frozen=True)
-class SeparableTestForm:
-    terms: Tuple[SeparableTerm, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "terms", tuple(self.terms))
+class SeparableTestForm(Frozen):
+    def __init__(self, terms: Tuple[SeparableTerm, ...]):
+        _set(self, "terms", tuple(terms))
 
 
-@dataclass(frozen=True)
-class Scenario:
-    signature: ProblemSignature
-    charts: Tuple[ChartSpec, ...]
-    testforms: Mapping[str, SeparableTestForm] = field(default_factory=dict)
-    metadata: Mapping[str, object] = field(default_factory=dict)
-
-    def __post_init__(self):
-        object.__setattr__(self, "charts", tuple(self.charts))
-        object.__setattr__(self, "testforms", dict(self.testforms))
-        object.__setattr__(self, "metadata", dict(self.metadata))
+class Scenario(Frozen):
+    def __init__(
+        self,
+        signature: ProblemSignature,
+        charts: Tuple[ChartSpec, ...],
+        testforms: Mapping[str, SeparableTestForm] = {},
+        metadata: Mapping[str, object] = {},
+    ):
+        # the dict defaults are only read: each scenario holds its own copies
+        _set(self, "signature", signature)
+        _set(self, "charts", tuple(charts))
+        _set(self, "testforms", dict(testforms))
+        _set(self, "metadata", dict(metadata))
 
     def chart(self, name: str) -> ChartSpec:
         for c in self.charts:

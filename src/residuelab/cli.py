@@ -9,50 +9,29 @@ clock timing appears only in the human table output.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
-from pathlib import Path
 from typing import List, Optional, Sequence
 
-from .charts import (
-    ChartSpec,
-    Scenario,
-    ScenarioError,
-    _int,
-    _matrix,
-    blowup_example,
-    blowup_parts,
-    parse_scenario,
-)
-from .deduction import deduce
-from .extforms import (
-    annihilated_by_row_differentials,
-    build_interpolant,
-    form_from_obj,
-    form_to_obj,
-    log_wedge_nonsingular,
-)
+# what every command needs; each command imports the engine modules it runs
+from .charts import ChartSpec, Scenario, ScenarioError, _int, _matrix, parse_scenario
+from .frozen import Frozen, _set
 from .gaussian import QI
-from .leibniz import chart_certificate, global_certificate, shape_violations
-from .linform import AffineForm
-from .mellin import FloatRangeError, _complexes, mellin_quadrature
-from .mellin import chart_sum, mellin_exact, residue_on, value_at_origin
-from .merovalue import HigherOrderPoleError, PoleAtPointError, TokenScalar
 from .profiles import ExactnessError, InputError
-from .tubes import PATH_M, admissible_limit, mellin_check, path_exponents, tube_integral, tube_spec_from_chart
 
 
-@dataclass
-class Report:
-    command: str
-    inputs: dict = field(default_factory=dict)
-    results: dict = field(default_factory=dict)
-    verdicts: List[dict] = field(default_factory=list)
+class Report(Frozen):
+    """A command's record; the command fills its containers in place."""
+
+    def __init__(self, command: str, inputs: dict = {}, results: dict = {}, verdicts: List[dict] = []):
+        # the defaults are only read: each report fills its own copies
+        _set(self, "command", command)
+        _set(self, "inputs", dict(inputs))
+        _set(self, "results", dict(results))
+        _set(self, "verdicts", list(verdicts))
 
     def verdict(self, name: str, ok: bool, value=None, reference=None, tolerance=None):
         entry = {"name": name, "pass": bool(ok)}
@@ -102,24 +81,26 @@ def _short(val) -> str:
     return s if len(s) <= 200 else s[:197] + "..."
 
 
-def _read_json(path: str) -> tuple:
-    """The JSON document in the file and the SHA-256 of its bytes; a file that
-    cannot be read as UTF-8 JSON raises ScenarioError naming the file."""
+def _read_json(path: str, key: str, report: Report):
+    """The JSON document in the file, with the path (as inputs[key]) and the
+    SHA-256 of its bytes recorded as the report's inputs; a file that cannot
+    be read as UTF-8 JSON raises ScenarioError naming the file."""
+    import hashlib  # loads OpenSSL, which the commands that read no file skip
+    from pathlib import Path
+
     try:
         data = Path(path).read_bytes()
-        return json.loads(data.decode("utf-8")), hashlib.sha256(data).hexdigest()
+        obj = json.loads(data.decode("utf-8"))
     except OSError as exc:
         raise ScenarioError(path, exc.strerror or str(exc)) from None
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ScenarioError(path, f"not UTF-8 JSON: {exc}") from None
+    report.inputs.update({key: str(Path(path)), "sha256": hashlib.sha256(data).hexdigest()})
+    return obj
 
 
 def _load_scenario(path: str, report: Report) -> Scenario:
-    """The scenario in the file, with its path and SHA-256 recorded as the report's inputs."""
-    obj, sha256 = _read_json(path)
-    scenario = parse_scenario(obj)
-    report.inputs.update(scenario=str(Path(path)), sha256=sha256)
-    return scenario
+    return parse_scenario(_read_json(path, "scenario", report))
 
 
 def _fractions(text: str, flag: str, count: Optional[int] = None) -> List[Fraction]:
@@ -144,6 +125,8 @@ def _chart(scenario: Scenario, name: Optional[str], flag: str = "--chart") -> Ch
 
 def _tube(scenario: Scenario, name: Optional[str], eps: Optional[str]) -> tuple:
     """Test form and tube of the `--chart` at the `--eps` radii (1/100 by default); N = 1 only."""
+    from .tubes import tube_spec_from_chart
+
     sig = scenario.signature
     if sig.N != 1:
         raise ScenarioError("signature.N", f"tubes take N = 1 data, got N = {sig.N}")
@@ -156,7 +139,9 @@ def _tube(scenario: Scenario, name: Optional[str], eps: Optional[str]) -> tuple:
         raise ScenarioError("--eps", exc.message) from None
 
 
-def _form(text: str, flag: str, count: int) -> AffineForm:
+def _form(text: str, flag: str, count: int):
+    from .linform import AffineForm
+
     try:
         values = [int(tok.strip()) for tok in text.split(",") if tok.strip()]
     except ValueError:
@@ -194,6 +179,8 @@ def _complex_obj(z: complex) -> dict:
 
 
 def cmd_poles(args, report: Report) -> None:
+    from .leibniz import chart_certificate, global_certificate, shape_violations
+
     scenario = _load_scenario(args.scenario, report)
     p = scenario.signature.p
     certs = []
@@ -227,6 +214,9 @@ def cmd_poles(args, report: Report) -> None:
 
 
 def cmd_eval(args, report: Report) -> None:
+    from .mellin import FloatRangeError, _complexes, mellin_exact, mellin_quadrature
+    from .merovalue import PoleAtPointError
+
     scenario = _load_scenario(args.scenario, report)
     chart = _chart(scenario, args.chart)
     lam = _fractions(args.lam, "--lam", scenario.signature.nfactors)
@@ -252,6 +242,8 @@ def cmd_eval(args, report: Report) -> None:
 
 
 def cmd_global(args, report: Report) -> None:
+    from .mellin import chart_sum, value_at_origin
+
     scenario = _load_scenario(args.scenario, report)
     total, _ = chart_sum(scenario)
     report.results["value"] = total.to_obj()
@@ -265,6 +257,9 @@ def cmd_global(args, report: Report) -> None:
 
 
 def cmd_residue(args, report: Report) -> None:
+    from .mellin import mellin_exact, residue_on
+    from .merovalue import HigherOrderPoleError, PoleAtPointError, TokenScalar
+
     scenario = _load_scenario(args.scenario, report)
     form = _form(args.form, "--form", scenario.signature.nfactors)
     point = _fractions(args.point, "--point", scenario.signature.nfactors)
@@ -290,6 +285,9 @@ def cmd_residue(args, report: Report) -> None:
 
 
 def cmd_tube(args, report: Report) -> None:
+    from .mellin import mellin_exact, value_at_origin
+    from .tubes import PATH_M, admissible_limit, path_exponents, tube_integral
+
     scenario = _load_scenario(args.scenario, report)
     testform, spec = _tube(scenario, args.chart, args.eps)
     val = tube_integral(spec, testform)
@@ -316,6 +314,9 @@ def cmd_tube(args, report: Report) -> None:
 
 
 def cmd_mellin_check(args, report: Report) -> None:
+    from .mellin import _complexes
+    from .tubes import mellin_check
+
     scenario = _load_scenario(args.scenario, report)
     testform, spec = _tube(scenario, args.chart, None)
     lambdas = [_fractions(tok, "--lam", scenario.signature.nfactors) for tok in args.lam]
@@ -337,10 +338,17 @@ def cmd_mellin_check(args, report: Report) -> None:
 
 
 def cmd_divlemma(args, report: Report) -> None:
-    obj, sha256 = _read_json(args.file)
+    from .extforms import (
+        annihilated_by_row_differentials,
+        build_interpolant,
+        form_from_obj,
+        form_to_obj,
+        log_wedge_nonsingular,
+    )
+
+    obj = _read_json(args.file, "file", report)
     if not isinstance(obj, dict):
         raise ScenarioError(args.file, "expected a JSON object")
-    report.inputs.update(file=str(Path(args.file)), sha256=sha256)
     n = _int(obj.get("n"), "n", 1)
     K = obj.get("K", [])
     if not isinstance(K, list):
@@ -374,6 +382,8 @@ def cmd_divlemma(args, report: Report) -> None:
 
 
 def cmd_deduce(args, report: Report) -> None:
+    from .deduction import deduce
+
     trace = deduce(_int(args.p, "p", 1), _int(args.q, "q", 0))
     report.results["trace"] = trace.to_obj()
     report.results["steps"] = len(trace.steps)
@@ -381,6 +391,11 @@ def cmd_deduce(args, report: Report) -> None:
 
 
 def cmd_example3(args, report: Report) -> None:
+    from .charts import blowup_example, blowup_parts
+    from .leibniz import chart_certificate
+    from .linform import AffineForm
+    from .mellin import chart_sum, mellin_exact, residue_on, value_at_origin
+
     if args.profile_degree < 1:
         raise ScenarioError("--profile-degree", "must be >= 1 so profiles vanish at the support edge")
     scenario = blowup_example(args.profile_degree, args.seed)

@@ -18,10 +18,11 @@ order, bases by decreasing moved index, sweeps until nothing changes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from itertools import combinations
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
+
+from .frozen import Frozen, _set
 
 
 class IncompleteContextError(ValueError):
@@ -38,16 +39,12 @@ class StalledError(RuntimeError):
         super().__init__(f"Stalled: {symbol} retains supports {sorted(map(sorted, residual))}")
 
 
-@dataclass(frozen=True)
-class CurrentSymbol:
+class CurrentSymbol(Frozen):
     """Partition of factor indices: dbar_set under the derivative, pv_set not."""
 
-    dbar_set: frozenset
-    pv_set: frozenset
-
-    def __post_init__(self):
-        object.__setattr__(self, "dbar_set", frozenset(self.dbar_set))
-        object.__setattr__(self, "pv_set", frozenset(self.pv_set))
+    def __init__(self, dbar_set: frozenset, pv_set: frozenset):
+        _set(self, "dbar_set", frozenset(dbar_set))
+        _set(self, "pv_set", frozenset(pv_set))
         if self.dbar_set & self.pv_set:
             raise ValueError("index sets must be disjoint")
         if not self.dbar_set:
@@ -85,15 +82,12 @@ def _meet(prior: frozenset, siblings: Iterable[frozenset]) -> Tuple[frozenset, f
     return context, _antichain({a & b for a in prior for b in context})
 
 
-@dataclass(frozen=True)
-class PoleConstraint:
+class PoleConstraint(Frozen):
     """Family of allowed supports: every pole hyperplane's support is
     contained in some member.  Empty family = analytic."""
 
-    allowed_supports: frozenset
-
-    def __post_init__(self):
-        object.__setattr__(self, "allowed_supports", _antichain(map(frozenset, self.allowed_supports)))
+    def __init__(self, allowed_supports: frozenset):
+        _set(self, "allowed_supports", _antichain(map(frozenset, allowed_supports)))
 
     @staticmethod
     def analytic() -> "PoleConstraint":
@@ -166,15 +160,15 @@ def _constraint(masks: frozenset) -> PoleConstraint:
     return PoleConstraint(frozenset(frozenset(_indices(m)) for m in masks))
 
 
-@dataclass(frozen=True)
-class TraceStep:
+class TraceStep(Frozen):
     """One intersection of `deduce` as masks over indices 1..n; views are built on read."""
 
-    n: int
-    target_mask: int
-    moved: int
-    context_masks: frozenset
-    result_masks: frozenset
+    def __init__(self, n: int, target_mask: int, moved: int, context_masks: frozenset, result_masks: frozenset):
+        _set(self, "n", n)
+        _set(self, "target_mask", target_mask)
+        _set(self, "moved", moved)
+        _set(self, "context_masks", context_masks)
+        _set(self, "result_masks", result_masks)
 
     @property
     def target(self) -> CurrentSymbol:
@@ -206,13 +200,13 @@ def _step_obj(step: TraceStep, indices) -> dict:
     }
 
 
-@dataclass(frozen=True)
-class ProofTrace:
-    p: int
-    q: int
-    steps: Tuple[TraceStep, ...]
-    final: PoleConstraint
-    analytic: bool
+class ProofTrace(Frozen):
+    def __init__(self, p: int, q: int, steps: Tuple[TraceStep, ...], final: PoleConstraint, analytic: bool):
+        _set(self, "p", p)
+        _set(self, "q", q)
+        _set(self, "steps", steps)
+        _set(self, "final", final)
+        _set(self, "analytic", analytic)
 
     def to_obj(self) -> dict:
         """The trace as JSON-ready data.  Each mask's index list is built once

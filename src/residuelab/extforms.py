@@ -9,39 +9,14 @@ logarithmic conjugate differentials on the principal-value divisor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, Mapping, Sequence, Tuple
 
+from .frozen import Frozen, _set
+from .leibniz import inversion_parity
 from .poly import Poly
 
 IndexTuple = Tuple[int, ...]
-
-
-def inversion_parity(seq: Sequence[int]) -> int:
-    sign = 1
-    for i in range(len(seq)):
-        for j in range(i + 1, len(seq)):
-            if seq[i] > seq[j]:
-                sign = -sign
-    return sign
-
-
-def dbar_front_sign(dbar_front: Iterable[int], n: int, dbar_slots: Iterable[int]) -> int:
-    """Sign for (conj dx_{i in front}) ^ (dx_1..dx_n) ^ (conj dx_{j in slots}).
-
-    Differentials are coded as integers (dx_i -> 2(i-1), conjugate dx_i ->
-    2(i-1)+1); the sign of sorting a symbol sequence into the per-variable
-    block order dx_1, conj dx_1, dx_2, ... is the parity of its inversions.
-    The reference orientation pairs each dx ^ conj(dx) with -2i times the
-    Euclidean area form.
-    """
-    seq = (
-        [2 * (i - 1) + 1 for i in sorted(dbar_front)]
-        + [2 * (i - 1) for i in range(1, n + 1)]
-        + [2 * (j - 1) + 1 for j in sorted(dbar_slots)]
-    )
-    return inversion_parity(seq)
 
 
 def _sorted_signed(idx: Sequence[int]) -> Tuple[IndexTuple, int]:
@@ -51,26 +26,23 @@ def _sorted_signed(idx: Sequence[int]) -> Tuple[IndexTuple, int]:
     return tuple(sorted(idx)), inversion_parity(idx)
 
 
-@dataclass(frozen=True)
-class PolyForm:
+class PolyForm(Frozen):
     """Degree-d form: map from increasing 1-based index tuples to Poly coefficients."""
 
-    nvars: int
-    degree: int
-    terms: Mapping[IndexTuple, Poly]
-
-    def __post_init__(self):
+    def __init__(self, nvars: int, degree: int, terms: Mapping[IndexTuple, Poly]):
         clean: Dict[IndexTuple, Poly] = {}
-        for idx, c in self.terms.items():
-            if len(idx) != self.degree:
-                raise ValueError(f"index tuple {idx} does not match degree {self.degree}")
+        for idx, c in terms.items():
+            if len(idx) != degree:
+                raise ValueError(f"index tuple {idx} does not match degree {degree}")
             if any(b <= a for a, b in zip(idx, idx[1:])):
                 raise ValueError(f"index tuple {idx} must be strictly increasing")
-            if any(i < 1 or i > self.nvars for i in idx):
+            if any(i < 1 or i > nvars for i in idx):
                 raise ValueError(f"index out of range in {idx}")
             if not c.is_zero():
                 clean[tuple(idx)] = c
-        object.__setattr__(self, "terms", clean)
+        _set(self, "nvars", nvars)
+        _set(self, "degree", degree)
+        _set(self, "terms", clean)
 
     @staticmethod
     def zero(nvars: int, degree: int = 0) -> "PolyForm":

@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+
+from .frozen import Frozen, _set
 
 
 def _frac(x) -> Fraction:
@@ -14,12 +15,12 @@ def _frac(x) -> Fraction:
     raise TypeError(f"cannot coerce {x!r} to an exact rational")
 
 
-@dataclass(frozen=True)
-class QI:
+class QI(Frozen):
     """An element of Q(i), kept exact so identity checks need no tolerance."""
 
-    re: Fraction = Fraction(0)
-    im: Fraction = Fraction(0)
+    def __init__(self, re: Fraction = Fraction(0), im: Fraction = Fraction(0)):
+        _set(self, "re", re)
+        _set(self, "im", im)
 
     @staticmethod
     def of(re=0, im=0) -> "QI":

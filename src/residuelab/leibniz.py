@@ -10,12 +10,12 @@ axes yields the chart's pole certificate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import List, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 from .charts import ChartSpec, InputError, Scenario
+from .frozen import Frozen, _set
 from .linform import AffineForm
 
 
@@ -23,35 +23,41 @@ class ResonantUnitsError(InputError):
     """Chart carries unit factors the engine cannot normalize away."""
 
 
-@dataclass(frozen=True)
-class HalfSpaceCert:
+class HalfSpaceCert(Frozen):
     """Width of the pole-free half space; the certificate's forms are the poles it excludes."""
 
-    eps: Fraction
-
-    def __post_init__(self):
-        if self.eps <= 0:
+    def __init__(self, eps: Fraction):
+        if eps <= 0:
             raise ValueError("half-space width must be positive")
+        _set(self, "eps", eps)
 
 
-@dataclass(frozen=True)
-class PoleCertificate:
-    forms: frozenset
-    scope: str
-    halfspace: HalfSpaceCert
+class PoleCertificate(Frozen):
+    def __init__(self, forms: frozenset, scope: str, halfspace: HalfSpaceCert):
+        _set(self, "forms", forms)
+        _set(self, "scope", scope)
+        _set(self, "halfspace", halfspace)
 
     def sorted_forms(self) -> Tuple[AffineForm, ...]:
         return tuple(sorted(self.forms, key=lambda f: f.sort_key()))
 
 
-@dataclass(frozen=True)
-class MeroTerm:
-    subset: Tuple[int, ...]
-    det: int
-    numerator_axes: Tuple[int, ...]
-    denominators: Tuple[AffineForm, ...]
-    dbar_profile: Tuple[int, ...]
-    cancelled: Tuple[Tuple[int, AffineForm], ...] = ()
+class MeroTerm(Frozen):
+    def __init__(
+        self,
+        subset: Tuple[int, ...],
+        det: int,
+        numerator_axes: Tuple[int, ...],
+        denominators: Tuple[AffineForm, ...],
+        dbar_profile: Tuple[int, ...],
+        cancelled: Tuple[Tuple[int, AffineForm], ...] = (),
+    ):
+        _set(self, "subset", subset)
+        _set(self, "det", det)
+        _set(self, "numerator_axes", numerator_axes)
+        _set(self, "denominators", denominators)
+        _set(self, "dbar_profile", dbar_profile)
+        _set(self, "cancelled", cancelled)
 
 
 def rank_basis(alpha: Sequence[Sequence[int]]) -> Tuple[int, List[int]]:
@@ -92,6 +98,32 @@ def subset_determinant(alpha: Sequence[Sequence[int]], cols: Sequence[int]) -> i
                 row[j] = (top[c] * row[j] - row[c] * top[j]) // prev
         prev = top[c]
     return sign * prev
+
+
+def inversion_parity(seq: Sequence[int]) -> int:
+    sign = 1
+    for i in range(len(seq)):
+        for j in range(i + 1, len(seq)):
+            if seq[i] > seq[j]:
+                sign = -sign
+    return sign
+
+
+def dbar_front_sign(dbar_front: Iterable[int], n: int, dbar_slots: Iterable[int]) -> int:
+    """Sign for (conj dx_{i in front}) ^ (dx_1..dx_n) ^ (conj dx_{j in slots}).
+
+    Differentials are coded as integers (dx_i -> 2(i-1), conjugate dx_i ->
+    2(i-1)+1); the sign of sorting a symbol sequence into the per-variable
+    block order dx_1, conj dx_1, dx_2, ... is the parity of its inversions.
+    The reference orientation pairs each dx ^ conj(dx) with -2i times the
+    Euclidean area form.
+    """
+    seq = (
+        [2 * (i - 1) + 1 for i in sorted(dbar_front)]
+        + [2 * (i - 1) for i in range(1, n + 1)]
+        + [2 * (j - 1) + 1 for j in sorted(dbar_slots)]
+    )
+    return inversion_parity(seq)
 
 
 def check_units(chart: ChartSpec) -> None:

@@ -9,9 +9,10 @@ hyperplane has exactly one representative.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 from typing import Optional, Sequence, Tuple
+
+from .frozen import Frozen, _set
 
 
 class ZeroFormError(ValueError):
@@ -33,10 +34,19 @@ def _normalized(coeffs: Sequence[int], const: int = 0) -> Tuple[Tuple[int, ...],
     return tuple(c // g for c in vec), const // g, g
 
 
-@dataclass(frozen=True)
-class AffineForm:
-    coeffs: Tuple[int, ...]
-    const: int = 0
+class AffineForm(Frozen):
+    def __init__(self, coeffs: Tuple[int, ...], const: int = 0):
+        _set(self, "coeffs", coeffs)
+        _set(self, "const", const)
+
+    # a dict key in every denominator: the Frozen rule, spelled out
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.coeffs == other.coeffs and self.const == other.const
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.coeffs, self.const))
 
     @staticmethod
     def normalize(raw: Sequence[int], const: int = 0) -> "AffineForm":

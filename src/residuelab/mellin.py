@@ -9,16 +9,15 @@ independent numeric cross-check in the absolute-convergence zone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm, prod
 from typing import Dict, Optional, Sequence, Tuple, Union
 
 from .charts import ChartSpec, Factor, InputError, Scenario, ScenarioError, SeparableTestForm
-from .extforms import dbar_front_sign
+from .frozen import Frozen, _set
 from .gaussian import QI
-from .leibniz import check_units, subset_determinant
+from .leibniz import check_units, dbar_front_sign, subset_determinant
 from .linform import AffineForm, _normalized
 from .merovalue import MeroValue, TokenScalar
 from .profiles import ExactnessError, RadialProfile
@@ -77,8 +76,7 @@ def _resolve_chart(scenario: Scenario, chart: Union[ChartSpec, str]) -> ChartSpe
     return chart
 
 
-@dataclass(frozen=True)
-class PlannedTerm:
+class PlannedTerm(Frozen):
     """A test-form term that survives angular selection on one chart.
 
     `orientation` is the term's sign and weight, the subset determinant times
@@ -88,10 +86,13 @@ class PlannedTerm:
     parameters.  `index` is the term's position in the test form.
     """
 
-    coeff: QI
-    orientation: int
-    variables: Tuple[Tuple[Tuple[int, ...], int, Factor], ...]
-    index: int
+    def __init__(
+        self, coeff: QI, orientation: int, variables: Tuple[Tuple[Tuple[int, ...], int, Factor], ...], index: int
+    ):
+        _set(self, "coeff", coeff)
+        _set(self, "orientation", orientation)
+        _set(self, "variables", variables)
+        _set(self, "index", index)
 
 
 def term_plan(chart: ChartSpec, testform: SeparableTestForm, N: int) -> Tuple[PlannedTerm, ...]:
@@ -193,10 +194,10 @@ def _complexes(values: Sequence, name: str) -> list:
         raise ScenarioError(name, "value beyond the float range") from None
 
 
-@dataclass(frozen=True)
-class QuadResult:
-    value: complex
-    error: float
+class QuadResult(Frozen):
+    def __init__(self, value: complex, error: float):
+        _set(self, "value", value)
+        _set(self, "error", error)
 
 
 @lru_cache(maxsize=None)

@@ -43,7 +43,6 @@ in_one_form marks a value reduced by construction, such as a radial factor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import chain
@@ -52,6 +51,7 @@ from operator import mul
 from struct import Struct, error as StructError
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
+from .frozen import Frozen, _set
 from .gaussian import QI
 from .linform import AffineForm
 from .poly import Exponent, Poly
@@ -87,16 +87,12 @@ class HigherOrderPoleError(MeroError):
         super().__init__(f"HigherOrderPole: {form} has multiplicity {mult}")
 
 
-@dataclass(frozen=True)
-class TokenScalar:
+class TokenScalar(Frozen):
     """An exact scalar of the shape coeff * (2*pi*i)^power."""
 
-    coeff: QI
-    power: int = 0
-
-    def __post_init__(self):
-        if not self.coeff and self.power:
-            object.__setattr__(self, "power", 0)
+    def __init__(self, coeff: QI, power: int = 0):
+        _set(self, "coeff", coeff)
+        _set(self, "power", power if coeff else 0)
 
     def as_complex(self) -> complex:
         import math

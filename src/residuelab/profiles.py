@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import List, Sequence, Tuple
 
+from .frozen import Frozen, _set
 from .gaussian import _frac
 
 
@@ -52,16 +52,12 @@ def _power_sum(weights: Tuple[int, ...], b: int, n: int, d: int) -> Tuple[int, i
     return acc * n ** (b + 1), dpow * d**b
 
 
-@dataclass(frozen=True)
-class RadialProfile:
+class RadialProfile(Frozen):
     """rho(t) on [knots[0], knots[-1]], one polynomial piece per knot interval, zero outside."""
 
-    knots: Tuple[Fraction, ...]
-    pieces: Tuple[Tuple[Fraction, ...], ...]
-
-    def __post_init__(self):
-        knots = tuple(_frac(k) for k in self.knots)
-        pieces = tuple(tuple(_frac(c) for c in p) for p in self.pieces)
+    def __init__(self, knots: Tuple[Fraction, ...], pieces: Tuple[Tuple[Fraction, ...], ...]):
+        knots = tuple(_frac(k) for k in knots)
+        pieces = tuple(tuple(_frac(c) for c in p) for p in pieces)
         if len(knots) == 1:
             raise ValueError("need no knots, or at least two")
         if knots:
@@ -73,8 +69,8 @@ class RadialProfile:
                 raise ValueError("knots must be nonnegative")
         elif pieces:
             raise ValueError("pieces without knots")
-        object.__setattr__(self, "knots", knots)
-        object.__setattr__(self, "pieces", pieces)
+        _set(self, "knots", knots)
+        _set(self, "pieces", pieces)
 
     @staticmethod
     def zero() -> "RadialProfile":

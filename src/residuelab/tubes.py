@@ -16,11 +16,11 @@ of evaluating it alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .charts import ChartSpec, Factor, InputError, ProblemSignature, Scenario, ScenarioError, SeparableTestForm
+from .frozen import Frozen, _set
 from .mellin import _complexes, _gauss_legendre, mellin_exact, term_plan
 
 PATH_M = 10  # ratio bound of the admissible path tube limits follow
@@ -31,17 +31,14 @@ class UnsupportedTubeError(InputError):
     pass
 
 
-@dataclass(frozen=True)
-class TubeSpec:
+class TubeSpec(Frozen):
     """A diagonal chart, f_j = x_v^k on distinct variables with no Jacobian,
     and one radius per factor row: the first p rows are residue-type (level
     sets), the rest principal-value-type (exteriors)."""
 
-    chart: ChartSpec
-    eps: Tuple[Fraction, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "eps", tuple(Fraction(e) for e in self.eps))
+    def __init__(self, chart: ChartSpec, eps: Tuple[Fraction, ...]):
+        _set(self, "chart", chart)
+        _set(self, "eps", tuple(Fraction(e) for e in eps))
         rows = self.chart.rows()
         hits = [[i for i, e in enumerate(row) if e] for row in rows]
         if any(len(h) != 1 for h in hits) or len({h[0] for h in hits}) != len(rows):
@@ -162,12 +159,12 @@ def path_exponents(count: int) -> Tuple[int, ...]:
     return tuple((PATH_M + 1) ** (count - 1 - j) for j in range(count))
 
 
-@dataclass(frozen=True)
-class LimitResult:
-    value: complex
-    error: float
-    samples: Tuple[complex, ...]
-    converged: bool
+class LimitResult(Frozen):
+    def __init__(self, value: complex, error: float, samples: Tuple[complex, ...], converged: bool):
+        _set(self, "value", value)
+        _set(self, "error", error)
+        _set(self, "samples", samples)
+        _set(self, "converged", converged)
 
 
 def admissible_limit(spec: TubeSpec, testform: SeparableTestForm, tol: float = 1e-9) -> LimitResult:
@@ -191,13 +188,13 @@ def admissible_limit(spec: TubeSpec, testform: SeparableTestForm, tol: float = 1
     return LimitResult(seq[-1], err, tuple(vals), err <= tol)
 
 
-@dataclass(frozen=True)
-class MellinCheckRow:
-    lam: Tuple[complex, ...]
-    transform: complex
-    reference: complex
-    rel_error: float
-    sign: int
+class MellinCheckRow(Frozen):
+    def __init__(self, lam: Tuple[complex, ...], transform: complex, reference: complex, rel_error: float, sign: int):
+        _set(self, "lam", lam)
+        _set(self, "transform", transform)
+        _set(self, "reference", reference)
+        _set(self, "rel_error", rel_error)
+        _set(self, "sign", sign)
 
 
 def mellin_check(

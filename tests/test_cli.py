@@ -546,7 +546,7 @@ def test_stalled_deduction_exits_3(capsys, monkeypatch):
     def stalled(p, q):
         raise StalledError("T{1|}", [{1}])
 
-    monkeypatch.setattr(cli, "deduce", stalled)
+    monkeypatch.setattr("residuelab.deduction.deduce", stalled)
     assert main(["deduce", "2", "1", "--format", "json"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -557,7 +557,7 @@ def test_engine_fault_exits_3_without_traceback(capsys, monkeypatch, blowup_file
     def broken(scenario):
         raise RuntimeError("engine fault")
 
-    monkeypatch.setattr(cli, "chart_sum", broken)
+    monkeypatch.setattr("residuelab.mellin.chart_sum", broken)
     assert main(["global", blowup_file]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -575,7 +575,7 @@ def test_library_errors_other_than_input_errors_exit_3(capsys, monkeypatch, blow
     def broken(scenario):
         raise exc
 
-    monkeypatch.setattr(cli, "chart_sum", broken)
+    monkeypatch.setattr("residuelab.mellin.chart_sum", broken)
     assert main(["global", blowup_file]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -645,7 +645,7 @@ def test_residue_on_a_double_pole_names_the_form(capsys, monkeypatch, blowup_fil
     # no chart of the example has a double pole, so the chart value is replaced by one
     pair = AffineForm.normalize((1, 1, 0))
     double = MeroValue.from_poly(Poly.const(3, QI.one()), [(pair, 2)])
-    monkeypatch.setattr(cli, "mellin_exact", lambda scenario, chart: double)
+    monkeypatch.setattr("residuelab.mellin.mellin_exact", lambda scenario, chart: double)
     assert main(["residue", blowup_file, "--form", "1,1,0", "--point", "1/3,-1/3,1/5"]) == 2
     captured = capsys.readouterr()
     assert captured.err == "error: --form: HigherOrderPole: L1+L2 has multiplicity 2\n"
@@ -700,33 +700,51 @@ def test_eval_quadrature_drops_a_twist_the_angle_count_would_alias(capsys, tmp_p
 
 
 def test_exact_commands_start_without_numpy(tmp_path, blowup_file, diagonal_file):
-    # one fresh interpreter runs all seven commands, so the imports of the
-    # test session do not count
+    # one fresh interpreter per command, so neither the test session nor
+    # another command counts: each loads only the modules it runs, and none
+    # loads dataclasses
     psi = PolyForm.basis(3, (2,)) + PolyForm.basis(3, (3,), Poly.variable(3, 0, Fraction(1)))
     div = tmp_path / "div.json"
     div.write_text(json.dumps({"n": 3, "K": [1], "psi": form_to_obj(psi), "alphas": [[0, 3, 0]]}))
-    commands = [
-        ["poles", blowup_file],
-        ["global", blowup_file],
-        ["residue", blowup_file, "--form", "1,1,0", "--point", "1/3,-1/3,1/5"],
-        ["tube", diagonal_file],
-        ["divlemma", str(div)],
-        ["deduce", "2", "1"],
-        ["example3"],
-    ]
+    commands = {
+        "poles": [blowup_file],
+        "eval": [diagonal_file, "--lam", "3,3"],
+        "global": [blowup_file],
+        "residue": [blowup_file, "--form", "1,1,0", "--point", "1/3,-1/3,1/5"],
+        "tube": [diagonal_file],
+        "mellin-check": [diagonal_file, "--lam", "3,3"],
+        "divlemma": [str(div)],
+        "deduce": ["2", "1"],
+        "example3": [],
+    }
     script = (
         "import contextlib, io, json, sys\n"
         "from residuelab.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
-        "print(json.dumps({'codes': codes, 'numpy': 'numpy' in sys.modules}))\n"
+        "    code = main(sys.argv[1:])\n"
+        "print(json.dumps([code, list(sys.modules)]))\n"
     )
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
-    proc = subprocess.run(
-        [sys.executable, "-c", script, json.dumps(commands)],
-        env=env, capture_output=True, text=True, timeout=300,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == {"codes": [0] * len(commands), "numpy": False}
+    loaded = {}
+    for command, args in commands.items():
+        proc = subprocess.run(
+            [sys.executable, "-c", script, command, *args],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        code, modules = json.loads(proc.stdout)
+        assert code == 0, command
+        loaded[command] = set(modules)
+
+    def loading(module):
+        return {command for command, modules in loaded.items() if module in modules}
+
+    assert loading("dataclasses") == set()
+    assert loading("numpy") == {"eval", "mellin-check"}
+    assert loading("residuelab.tubes") == {"tube", "mellin-check"}
+    assert loading("residuelab.deduction") == {"deduce"}
+    assert loading("residuelab.extforms") == {"divlemma"}
+    assert not loading("residuelab.mellin") & {"deduce", "divlemma"}
+    assert not loaded["deduce"] & {"residuelab.merovalue", "residuelab.leibniz"}
