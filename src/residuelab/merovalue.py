@@ -22,6 +22,17 @@ order is the lexicographic order of exponent tuples, so sorted terms come
 out as with tuple keys.  Keys are decoded only in num, to_obj and evaluation.
 from_poly rejects an exponent of 2**32 or more; no product may build one.
 
+A sum is expanded over its common denominator on packed ints: a coefficient
+re + i*im is the one int re*2**K + im, and the exponent e of the last
+variable places it in bits [W*e, W*(e+1)) of one int per monomial of the
+other variables, so a form multiplies that int by c0 + c_last*2**W at once.
+Each step is Z-linear, so only the final coefficients must read back.  In
+sum_parts scale * terms * prod form^k each is at most
+B = sum |scale| * max|coef| * #terms * prod ||form||_1^k < 2**(K-1) for
+K = bit_length(B) + 1, a signed K-bit digit; a packed coefficient, below
+2**(2K-1), is then a signed slot of W = 2K + 2 bits.  in_one_form runs
+Horner on the same ints.
+
 reduced() cancels every denominator form dividing the numerator; after
 reduction the representation is canonical (affine forms are irreducible and
 Q(i)[L] has unique factorization), so equality is structural.  A value
@@ -152,19 +163,6 @@ def _canon(terms: Terms, content: int) -> Tuple[Terms, int]:
     return {e: (re // g, im // g) for e, (re, im) in terms.items()}, content // g
 
 
-def _add(a: Terms, b: Terms) -> Terms:
-    out = dict(a)
-    for e, c in b.items():
-        s = out.get(e)
-        if s is None:
-            out[e] = c
-        elif s[0] + c[0] or s[1] + c[1]:
-            out[e] = (s[0] + c[0], s[1] + c[1])
-        else:
-            del out[e]
-    return out
-
-
 def _mul(a: Terms, b: Terms) -> Terms:
     out: Terms = {}
     get = out.get
@@ -179,13 +177,13 @@ def _mul(a: Terms, b: Terms) -> Terms:
     return {e: c for e, c in out.items() if c[0] or c[1]}
 
 
-def _scale(a: Terms, re: int, im: int = 0) -> Terms:
+def _scale(a: Terms, re: int, im: int) -> Terms:
     if not im:
         return a if re == 1 else {e: (x * re, y * re) for e, (x, y) in a.items()}
     return {e: (x * re - y * im, x * im + y * re) for e, (x, y) in a.items()}
 
 
-def _form_terms(form: AffineForm, skip: int = -1) -> List[Tuple[int, int]]:
+def _form_terms(form: AffineForm, skip: int) -> List[Tuple[int, int]]:
     """The form's nonzero terms as (key, coefficient), leaving out variable `skip`."""
     out = [(1 << _BITS * (form.nvars - 1 - j), c) for j, c in enumerate(form.coeffs) if c and j != skip]
     if form.const:
@@ -193,20 +191,62 @@ def _form_terms(form: AffineForm, skip: int = -1) -> List[Tuple[int, int]]:
     return out
 
 
-def _times_forms(terms: Terms, forms: Iterable[Tuple[AffineForm, int]]) -> Terms:
-    """terms * prod form^k, one real form at a time."""
-    for f, k in forms:
-        fterms = _form_terms(f)
-        for _ in range(k):
-            out: Terms = {}
-            get = out.get
-            for e, (re, im) in terms.items():
-                for u, c in fterms:
-                    t = e + u
-                    s = get(t)
-                    out[t] = (re * c, im * c) if s is None else (s[0] + re * c, s[1] + im * c)
-            terms = {e: c for e, c in out.items() if c[0] or c[1]}
+def _widths(bound: int) -> Tuple[int, int]:
+    """The digit and slot widths K and W that read back every packed
+    coefficient of size at most bound."""
+    K = bound.bit_length() + 1
+    return K, 2 * K + 2
+
+
+def _times_form(rows: Dict[int, int], f: AffineForm, W: int) -> Dict[int, int]:
+    """Packed rows times a real form."""
+    *rest, last = f.coeffs
+    line = f.const + (last << W)
+    out = {g: v * line for g, v in rows.items()}
+    for j, c in enumerate(rest):
+        if c:
+            u = 1 << _BITS * (len(rest) - j)
+            for g, v in rows.items():
+                out[g + u] = out.get(g + u, 0) + v * c
+    return out
+
+
+def _unpacked(rows: Dict[int, int], K: int, W: int) -> Terms:
+    terms = {}
+    wmask, wsign, kmask, ksign = (1 << W) - 1, 1 << W - 1, (1 << K) - 1, 1 << K - 1
+    for e, v in rows.items():
+        while v:  # the low W bits read signed; a negative slot borrowed one from the slot above
+            x = (v & wmask ^ wsign) - wsign
+            if x:
+                im = (x & kmask ^ ksign) - ksign
+                terms[e] = (x - im >> K, im)
+            v = v - x >> W
+            e += 1
     return terms
+
+
+def _sum_times_forms(parts: Sequence[Tuple[Terms, int, Sequence[Tuple[AffineForm, int]]]]) -> Terms:
+    """The sum of scale * terms * prod form^k over the parts (terms, scale,
+    [(form, k), ...]), every scale and form real, expanded on packed ints."""
+    bound = 0
+    for terms, scale, forms in parts:
+        b = abs(scale) * len(terms) * max(map(abs, chain.from_iterable(terms.values())), default=0)
+        for f, k in forms:
+            b *= (abs(f.const) + sum(map(abs, f.coeffs))) ** k
+        bound += b
+    K, W = _widths(bound)
+    total: Dict[int, int] = {}
+    for terms, scale, forms in parts:
+        rows: Dict[int, int] = {}
+        for e, (re, im) in terms.items():
+            slot = e & _MASK
+            rows[e - slot] = rows.get(e - slot, 0) + ((re << K) + im << W * slot)
+        for f, k in forms:
+            for _ in range(k):
+                rows = _times_form(rows, f, W)
+        for g, v in rows.items():
+            total[g] = total.get(g, 0) + v * scale
+    return _unpacked(total, K, W)
 
 
 def _pivot(form: AffineForm) -> int:
@@ -325,11 +365,6 @@ def _merge_dens(entries: Iterable[Tuple[AffineForm, int]]) -> Tuple[Tuple[Affine
     return tuple(sorted(acc.items(), key=lambda t: t[0].sort_key()))
 
 
-def _frac_obj(x: int, content: int) -> List[int]:
-    g = gcd(x, content)
-    return [x // g, content // g]
-
-
 class MeroValue:
     """Build values with zero, const, monomial, in_one_form or from_poly; the
     constructor takes the integer representation as is."""
@@ -383,12 +418,14 @@ class MeroValue:
     def in_one_form(form: AffineForm, coeffs: Sequence[int], content: int, den) -> "MeroValue":
         """sum_i coeffs[i] * form^i / content / prod den, marked reduced: the
         caller vouches that no form of den divides the numerator."""
-        terms: Terms = {}
-        for c in reversed(coeffs):  # Horner in the form
-            terms = _add(_times_forms(terms, [(form, 1)]), {0: (c, 0)} if c else {})
-        if content < 0:
-            terms, content = _scale(terms, -1), -content
-        terms, content = _canon(terms, content)
+        sign = -1 if content < 0 else 1
+        size = abs(form.const) + sum(map(abs, form.coeffs))
+        K, W = _widths(sum(abs(c) * size**i for i, c in enumerate(coeffs)))
+        rows: Dict[int, int] = {}
+        for c in reversed(coeffs):  # Horner in the form, on packed rows
+            rows = _times_form(rows, form, W)
+            rows[0] = rows.get(0, 0) + (sign * c << K)
+        terms, content = _canon(_unpacked(rows, K, W), sign * content)
         return MeroValue(form.nvars, terms, content, _merge_dens(den), 0, True)
 
     @staticmethod
@@ -422,8 +459,8 @@ class MeroValue:
         g = gcd(ca, cb)
         ka = [(f, m - da.get(f, 0)) for f, m in union.items() if m != da.get(f)]
         kb = [(f, m - db.get(f, 0)) for f, m in union.items() if m != db.get(f)]
-        na, nb = _times_forms(a._terms, ka), _times_forms(b._terms, kb)
-        terms, content = _canon(_add(_scale(na, cb // g), _scale(nb, ca // g)), ca // g * cb)
+        terms = _sum_times_forms([(a._terms, cb // g, ka), (b._terms, ca // g, kb)])
+        terms, content = _canon(terms, ca // g * cb)
         if not terms:
             return MeroValue.zero(self.nvars)
         pa, pb = (a._terms, {}, cb // g, ka), (b._terms, {}, ca // g, kb)
@@ -562,10 +599,12 @@ class MeroValue:
     def to_obj(self) -> dict:
         """JSON-ready exact representation."""
         c = self._content
-        num = [
-            {"exps": list(e), "re": _frac_obj(re, c), "im": _frac_obj(im, c)}
-            for e, (re, im) in _decoded(sorted(self._terms.items()), self.nvars)
-        ]
+        terms = _decoded(sorted(self._terms.items()), self.nvars)
+        if c == 1:
+            num = [{"exps": list(e), "re": [re, 1], "im": [im, 1]} for e, (re, im) in terms]
+        else:
+            num = [{"exps": list(e), "re": [re // (g := gcd(re, c)), c // g], "im": [im // (h := gcd(im, c)), c // h]}
+                   for e, (re, im) in terms]
         den = [
             {"coeffs": list(f.coeffs), "const": f.const, "mult": m} for f, m in self.den
         ]

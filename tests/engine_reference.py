@@ -3,6 +3,10 @@
 - `mellin_sum_by_additions`: the radial Mellin sum built with K - 1 full
   MeroValue additions, each normalizing one form and reducing the sum;
   `mellin._mellin_sum` writes the reduced value down in closed form.
+- `sum_times_forms_by_tuples`: the common-denominator expansion of a sum, one
+  (re, im) tuple per monomial and one real form at a time;
+  `merovalue._sum_times_forms` packs each coefficient and each power of the
+  last variable into one int per monomial of the other variables.
 - `vanishes_at_point`: the modular divisibility filter evaluated at the full
   point of the form's hyperplane, summand by summand; `merovalue._vanishes`
   reduces each summand once per pivot and runs one Horner pass per form.
@@ -36,7 +40,7 @@ from residuelab.mellin import (
     _gauss_legendre,
     term_plan,
 )
-from residuelab.merovalue import _PRIME, _decoded, _pivot
+from residuelab.merovalue import _PRIME, _decoded, _key, _pivot
 from residuelab.poly import Poly
 
 
@@ -54,6 +58,27 @@ def mellin_sum_by_additions(nvars: int, mu_vec: Sequence[int], shift: int, rho: 
             vec, const, g = _normalized(mu_vec, d)
             total = total + MeroValue.from_poly(Poly.const(nvars, QI.of(c) / g), [(AffineForm(vec, const), 1)])
     return total
+
+
+def sum_times_forms_by_tuples(parts) -> dict:
+    """The sum of scale * terms * prod form^k over the parts (terms, scale,
+    [(form, k), ...]) with no zero coefficient, multiplied out monomial by monomial."""
+    total = {}
+    for terms, scale, forms in parts:
+        for f, k in forms:
+            units = [[int(i == j) for i in range(f.nvars)] for j in range(f.nvars)]
+            fterms = [(_key(u), c) for u, c in zip(units, f.coeffs)] + [(0, f.const)]
+            for _ in range(k):
+                out = {}
+                for e, (re, im) in terms.items():
+                    for u, c in fterms:
+                        s = out.get(e + u, (0, 0))
+                        out[e + u] = (s[0] + re * c, s[1] + im * c)
+                terms = out
+        for e, (re, im) in terms.items():
+            s = total.get(e, (0, 0))
+            total[e] = (s[0] + re * scale, s[1] + im * scale)
+    return {e: c for e, c in total.items() if c != (0, 0)}
 
 
 def _value_mod(terms, point: Sequence[int]) -> Tuple[int, int]:

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 import re
 from fractions import Fraction
@@ -37,6 +39,7 @@ from residuelab.mellin import (
     _gauss_legendre,
     _quad_variable,
     _radial_grid,
+    chart_sum,
     radial_factor,
     term_plan,
 )
@@ -46,6 +49,7 @@ from residuelab.poly import Poly
 from affine_division import as_poly
 from corpus import absorbing_testform, random_chart_scenario
 from engine_reference import mellin_sum_by_additions, quad_variable_per_piece, quadrature_by_two_passes
+from test_acceptance import _chart_corpus
 
 
 def simple_scenario(p, q, k=1, N=1, a=None, b=None, rho=None, slots=None):
@@ -481,3 +485,19 @@ def test_quadrature_equals_the_two_pass_reference_bit_for_bit(case):
     sc, lam = case
     got = _quadrature_outcome(lambda: mellin_quadrature(sc, sc.charts[0], lam))
     assert got == _quadrature_outcome(lambda: quadrature_by_two_passes(sc, lam)), (sc.to_json(), lam)
+
+
+def test_exact_values_bytes_pinned():
+    # recorded before sums were expanded on packed integers: every value of the
+    # criterion-3 corpus, and the blow-up's chart sums at degrees 2-8
+    def digest(objs):
+        h = hashlib.sha256()
+        for obj in objs:
+            h.update(json.dumps(obj, sort_keys=True).encode() + b"\n")
+        return h.hexdigest()
+
+    corpus = (mellin_exact(sc, c).to_obj() for sc in _chart_corpus() for c in sc.charts)
+    assert digest(corpus) == "79b755bc2fbb4d18893a8f07eca128d6fde8755cf887fe6206ef0939751f9b65"
+    sums = (chart_sum(blowup_example(d, s)) for d in range(2, 9) for s in (None, 1, 2, 3))
+    blowups = ([total.to_obj(), {k: v.to_obj() for k, v in values.items()}] for total, values in sums)
+    assert digest(blowups) == "045c0db31ac2231902b404a0db86498afcf3b106e11468b1d0bfe1b737dc37b5"

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from residuelab import AffineForm, LinForm, MeroValue, QI
 from residuelab import merovalue
@@ -17,13 +17,13 @@ from residuelab.merovalue import (
     _decoded,
     _divide,
     _key,
-    _times_forms,
+    _sum_times_forms,
     _vanishes,
 )
 from residuelab.poly import Poly
 
 from affine_division import as_poly, deg_in, divides_affine, divmod_affine
-from engine_reference import vanishes_at_point
+from engine_reference import sum_times_forms_by_tuples, vanishes_at_point
 
 
 def lam(n, j):
@@ -375,7 +375,7 @@ def filter_case(draw):
             terms[_key(e)] = (draw(ints), draw(ints))
         terms = {e: c for e, c in terms.items() if c != (0, 0)} or {0: (1, 0)}
         if draw(st.booleans()):
-            terms = _times_forms(terms, [(draw(st.sampled_from(forms)), 1)])
+            terms = sum_times_forms_by_tuples([(terms, 1, [(draw(st.sampled_from(forms)), 1)])])
         multipliers = [(draw(st.sampled_from(forms + [form()])), draw(st.integers(0, 2)))
                        for _ in range(draw(st.integers(0, 2)))]
         parts.append((terms, draw(st.sampled_from([1, 3, -7, _PRIME + 2])), multipliers))
@@ -393,6 +393,61 @@ def test_property_layered_filter_matches_the_full_point_evaluation(case):
         assert _vanishes(f, *layered) == vanishes_at_point(f, *parts)
 
 
+BIG = st.integers(-(2**300), 2**300)
+
+
+@st.composite
+def packed_form(draw, n):
+    """A form on n variables: any, on the last variable alone, or with no constant."""
+    kind = draw(st.sampled_from(["any", "last", "homogeneous"]))
+    coeffs = [0] * n if kind == "last" else [draw(st.integers(-3, 3)) for _ in range(n)]
+    if kind == "last" or not any(coeffs):
+        coeffs[-1] = draw(st.sampled_from([1, -1, 2, -5, 2**70]))
+    return AffineForm(tuple(coeffs), 0 if kind != "any" else draw(st.integers(-4, 4)))
+
+
+@st.composite
+def sum_case(draw):
+    """Parts (terms, scale, [(form, k), ...]) of a sum: coefficients up to
+    2**300 in size, scales of either sign beyond 2**61, forms on the last
+    variable alone or with no constant, empty terms, and parts repeated with
+    the opposite scale so that the sum cancels to 0."""
+    n = draw(st.integers(1, 8))
+    coef = st.one_of(st.integers(-40, 40), BIG)
+    scale = st.one_of(st.integers(-9, 9), st.integers(2**61, 2**64), st.integers(-(2**64), -(2**61)), BIG)
+    parts = []
+    for _ in range(draw(st.integers(1, 3))):
+        terms = {}
+        for _ in range(draw(st.integers(0, 5))):
+            e = tuple(draw(st.integers(0, 3)) for _ in range(n))
+            terms[_key(e)] = (draw(coef), draw(coef))
+        terms = {e: c for e, c in terms.items() if c != (0, 0)}
+        forms = [(draw(packed_form(n)), draw(st.integers(0, 3))) for _ in range(draw(st.integers(0, 3)))]
+        parts.append((terms, draw(scale), forms))
+    if draw(st.booleans()):
+        parts += [(terms, -s, forms[::-1]) for terms, s, forms in parts]
+    return parts
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(sum_case())
+@example([({_key((3,)): (2**300, 2**300 - 1)}, 2**62, [(AffineForm((7,)), 3)])])  # a coefficient at the bound
+def test_property_packed_sum_matches_the_tuple_expansion(parts):
+    assert _sum_times_forms(parts) == sum_times_forms_by_tuples(parts)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.integers(1, 8).flatmap(packed_form), st.lists(st.one_of(st.integers(-9, 9), BIG), min_size=1, max_size=6),
+       st.sampled_from([1, 3, -1, -6]))
+@example(AffineForm((0, 2**70)), [0, 0, 2**300], 1)  # a coefficient at the bound
+def test_property_in_one_form_matches_the_tuple_expansion(form, coeffs, content):
+    # Horner on packed ints equals sum_i coeffs[i] * form^i multiplied out, over |content|
+    sign = -1 if content < 0 else 1
+    powers = sum_times_forms_by_tuples([({0: (1, 0)}, sign * c, [(form, i)]) for i, c in enumerate(coeffs)])
+    v = MeroValue.in_one_form(form, coeffs, content, ())
+    assert (v._terms, v._content) == merovalue._canon(powers, abs(content))
+
+
 def test_cancel_retests_each_quotient_with_a_fresh_memo(monkeypatch):
     """After a division the filter reads the quotient, whose residues rule a
     second division by the same form out before it is tried."""
@@ -401,5 +456,5 @@ def test_cancel_retests_each_quotient_with_a_fresh_memo(monkeypatch):
     tried = []
     monkeypatch.setattr(merovalue, "_divide", lambda terms, g: tried.append(g) or _divide(terms, g))
     den = {f: 2}
-    assert _cancel(_times_forms(q, [(f, 1)]), den, [f]) == q
+    assert _cancel(sum_times_forms_by_tuples([(q, 1, [(f, 1)])]), den, [f]) == q
     assert den == {f: 1} and tried == [f]
