@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 from typing import Iterable, List, Sequence, Tuple
 
 from .charts import ChartSpec, InputError, Scenario
@@ -61,22 +62,22 @@ class MeroTerm(Frozen):
 
 
 def rank_basis(alpha: Sequence[Sequence[int]]) -> Tuple[int, List[int]]:
-    """Rank over Q and the lexicographically first maximal independent row subset (1-based)."""
-    rows = [list(map(Fraction, r)) for r in alpha]
+    """Rank over Q and the lexicographically first maximal independent row subset (1-based),
+    by fraction-free elimination: each step's row is divided by the gcd of its entries."""
     basis: List[int] = []
-    reduced: List[List[Fraction]] = []
-    pivots: List[int] = []
-    for idx, row in enumerate(rows):
-        r = row[:]
-        for rr, pc in zip(reduced, pivots):
+    kept: List[Tuple[int, List[int]]] = []
+    for idx, row in enumerate(alpha, 1):
+        r = list(row)
+        for pc, rr in kept:
             if r[pc]:
-                f = r[pc] / rr[pc]
-                r = [a - f * b for a, b in zip(r, rr)]
+                a, b = rr[pc], r[pc]
+                r = [a * x - b * y for x, y in zip(r, rr)]
+                g = gcd(*r) or 1
+                r = [x // g for x in r]
         pc = next((j for j, v in enumerate(r) if v), None)
         if pc is not None:
-            reduced.append(r)
-            pivots.append(pc)
-            basis.append(idx + 1)
+            kept.append((pc, r))
+            basis.append(idx)
     return len(basis), basis
 
 
@@ -126,8 +127,9 @@ def dbar_front_sign(dbar_front: Iterable[int], n: int, dbar_slots: Iterable[int]
     return inversion_parity(seq)
 
 
-def check_units(chart: ChartSpec) -> None:
-    """Reject unit flags the normalization cannot absorb (resonant data)."""
+def check_units(chart: ChartSpec) -> Tuple[int, List[int]]:
+    """Reject unit flags the normalization cannot absorb (resonant data);
+    return the rank and basis rows of alpha, as rank_basis does."""
     m, basis = rank_basis(chart.alpha)
     basis_set = set(basis)
     for ri, flag in enumerate(chart.unit_flags):
@@ -143,13 +145,13 @@ def check_units(chart: ChartSpec) -> None:
             f"chart {chart.name!r}: factor {ri + 1} carries a unit the engine "
             "cannot normalize to 1 (resonant chart)"
         )
+    return m, basis
 
 
 def expand(chart: ChartSpec) -> List[MeroTerm]:
-    check_units(chart)
+    m, basis = check_units(chart)
     p = chart.p
     n = chart.n
-    m, basis = rank_basis(chart.alpha)
     basis_rows = [chart.alpha[b - 1] for b in basis]
     K = chart.pv_divisor_vars()
     terms: List[MeroTerm] = []

@@ -60,14 +60,15 @@ def _mellin_sum(nvars: int, mu_vec: Sequence[int], shift: int, rho: RadialProfil
                 row = [x * dj + y for x, y in zip(row + [0], [0] + row)]
         P = [x + y for x, y in zip(P, row)]
     forms = [_normalized(mu_vec, d) for d in ds]  # s + d_k = g_k * F_k, F_k normalized
-    den = [(AffineForm(vec, const), 1) for vec, const, _ in forms]
+    # distinct d_k give distinct forms, and (vec, const) order is their sort_key order
+    den = tuple((AffineForm(vec, const), 1) for vec, const, _ in sorted(forms))
     return MeroValue.in_one_form(AffineForm(tuple(mu_vec)), P, D * prod(g for _, _, g in forms), den)
 
 
 def radial_factor(nvars: int, mu_vec: Sequence[int], shift: int, rho: RadialProfile) -> MeroValue:
     """Value of one angularly selected variable: -2*pi*i times the Mellin sum."""
     s = _mellin_sum(nvars, mu_vec, shift, rho)
-    return (s * QI.of(-1)).mul_token(1)
+    return (-s).mul_token(1)
 
 
 def _resolve_chart(scenario: Scenario, chart: Union[ChartSpec, str]) -> ChartSpec:
@@ -151,7 +152,7 @@ def mellin_exact(scenario: Scenario, chart: Union[ChartSpec, str]) -> MeroValue:
                 break
             val = val * fac
         result = result + val
-    return result.reduced()
+    return result
 
 
 def chart_sum(scenario: Scenario) -> Tuple[MeroValue, Dict[str, MeroValue]]:
@@ -161,7 +162,7 @@ def chart_sum(scenario: Scenario) -> Tuple[MeroValue, Dict[str, MeroValue]]:
     total = MeroValue.zero(scenario.signature.nfactors)
     for v in values.values():
         total = total + v
-    return total.reduced(), values
+    return total, values
 
 
 def value_at_origin(v: MeroValue) -> TokenScalar:
@@ -174,7 +175,6 @@ def residue_on(form: AffineForm, v: MeroValue, point: Sequence[Fraction]) -> Tok
 
 def extreme_pole(v: MeroValue) -> Optional[Fraction]:
     """Largest pole location of a one-parameter value; None when entire."""
-    v = v.reduced()
     if v.nvars != 1:
         raise ValueError("extreme_pole expects a one-parameter value")
     roots = [Fraction(-f.const, f.coeffs[0]) for f, _ in v.den]

@@ -33,23 +33,22 @@ K = bit_length(B) + 1, a signed K-bit digit; a packed coefficient, below
 2**(2K-1), is then a signed slot of W = 2K + 2 bits.  in_one_form runs
 Horner on the same ints.
 
-reduced() cancels every denominator form dividing the numerator; after
-reduction the representation is canonical (affine forms are irreducible and
-Q(i)[L] has unique factorization), so equality is structural.  A value
-carries a reduced mark, so reducing a canonical value costs nothing, and
-arithmetic on canonical values tests only the forms that can cancel.  In a
-sum a/b + c/d over the common denominator, a form with a higher
-multiplicity in b than in d divides the cross term c*(lcm/d) but not
-a*(lcm/b), so only forms with the same multiplicity in b and d can cancel.
-In a product, a form of one factor's denominator can cancel only against
-the other factor's numerator.
+Every value is reduced when built: no denominator form divides the
+numerator, so the representation is canonical (affine forms are irreducible
+and Q(i)[L] has unique factorization) and equality is structural.  from_poly
+tries every form; the raw constructor and in_one_form trust their caller to
+vouch for the value, as for a radial factor; arithmetic on canonical values
+tests only the forms that can cancel.  In a sum a/b + c/d over the common
+denominator, a form with a higher multiplicity in b than in d divides the
+cross term c*(lcm/d) but not a*(lcm/b), so only forms with the same
+multiplicity in b and d can cancel.  In a product, a form of one factor's
+denominator can cancel only against the other factor's numerator.
 Evaluation modulo a prime on a form's zero hyperplane rules divisions out
 before they are tried; being a ring homomorphism, it tests a sum on its
 summands, so only the forms that pass are tried on the expanded sum.  Every
 test point shares x_j = 2j + 3 off the form's pivot, so each summand is
 reduced once per pivot variable into a memo that the forms tested on it
 share, and each form then costs one Horner pass in its pivot coordinate.
-in_one_form marks a value reduced by construction, such as a radial factor.
 """
 
 from __future__ import annotations
@@ -366,13 +365,13 @@ def _merge_dens(entries: Iterable[Tuple[AffineForm, int]]) -> Tuple[Tuple[Affine
 
 
 class MeroValue:
-    """Build values with zero, const, monomial, in_one_form or from_poly; the
-    constructor takes the integer representation as is."""
+    """A reduced value: no form of den divides the numerator.  Build values
+    with zero, const, monomial, in_one_form or from_poly; the constructor
+    takes the integer representation as is, reduced as its caller vouches."""
 
-    __slots__ = ("nvars", "den", "token_pow", "_terms", "_content", "_reduced")
+    __slots__ = ("nvars", "den", "token_pow", "_terms", "_content")
 
-    def __init__(self, nvars: int, terms: Terms, content: int = 1, den=(), token_pow: int = 0,
-                 reduced: bool = False):
+    def __init__(self, nvars: int, terms: Terms, content: int = 1, den=(), token_pow: int = 0):
         self.nvars = nvars
         self._terms = terms
         self._content = content
@@ -380,14 +379,6 @@ class MeroValue:
             den, token_pow = (), 0
         self.den: Tuple[Tuple[AffineForm, int], ...] = den
         self.token_pow = token_pow
-        self._reduced = reduced or not den
-
-    @staticmethod
-    def _canonical(nvars: int, terms: Terms, content: int, den: Dict[AffineForm, int], token_pow: int,
-                   forms: Iterable[AffineForm]) -> "MeroValue":
-        """The reduced value, given that of the forms in den only `forms` can divide terms."""
-        terms = _cancel(terms, den, forms)
-        return MeroValue(nvars, terms, content, _merge_dens(den.items()), token_pow, True)
 
     @property
     def num(self) -> Poly:
@@ -395,7 +386,8 @@ class MeroValue:
         c = self._content
         p = Poly(self.nvars)
         terms = _decoded(self._terms.items(), self.nvars)
-        p.terms = {e: QI(Fraction(re, c), Fraction(im, c)) for e, (re, im) in terms}
+        # a real coefficient shares QI's default zero imaginary part, one Fraction fewer per term
+        p.terms = {e: QI(Fraction(re, c), Fraction(im, c)) if im else QI(Fraction(re, c)) for e, (re, im) in terms}
         return p
 
     @staticmethod
@@ -416,8 +408,9 @@ class MeroValue:
 
     @staticmethod
     def in_one_form(form: AffineForm, coeffs: Sequence[int], content: int, den) -> "MeroValue":
-        """sum_i coeffs[i] * form^i / content / prod den, marked reduced: the
-        caller vouches that no form of den divides the numerator."""
+        """sum_i coeffs[i] * form^i / content / prod den: the caller vouches
+        that den is sorted by sort_key with distinct forms, and that none of
+        them divides the numerator."""
         sign = -1 if content < 0 else 1
         size = abs(form.const) + sum(map(abs, form.coeffs))
         K, W = _widths(sum(abs(c) * size**i for i, c in enumerate(coeffs)))
@@ -426,15 +419,17 @@ class MeroValue:
             rows = _times_form(rows, form, W)
             rows[0] = rows.get(0, 0) + (sign * c << K)
         terms, content = _canon(_unpacked(rows, K, W), sign * content)
-        return MeroValue(form.nvars, terms, content, _merge_dens(den), 0, True)
+        return MeroValue(form.nvars, terms, content, den)
 
     @staticmethod
     def from_poly(num: Poly, den=(), token_pow: int = 0) -> "MeroValue":
-        """num / prod form^mult, not yet reduced."""
+        """num / prod form^mult, reduced."""
         parts = {e: _scalar(c) for e, c in num.terms.items()}
         content = lcm(*(d for _, _, d in parts.values()))
         terms = {_key(e): (re * (content // d), im * (content // d)) for e, (re, im, d) in parts.items()}
-        return MeroValue(num.nvars, terms, content, _merge_dens(den), token_pow)
+        den = dict(_merge_dens(den))
+        terms = _cancel(terms, den, den if terms else ())
+        return MeroValue(num.nvars, terms, content, _merge_dens(den.items()), token_pow)
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -443,33 +438,33 @@ class MeroValue:
         if not isinstance(other, MeroValue):
             return NotImplemented
         if self.is_zero():
-            return other.reduced()
+            return other
         if other.is_zero():
-            return self.reduced()
+            return self
         if self.token_pow != other.token_pow:
             raise TokenPowerError(
                 f"cannot add token powers {self.token_pow} and {other.token_pow}"
             )
-        a, b = self.reduced(), other.reduced()
-        da, db = dict(a.den), dict(b.den)
+        da, db = dict(self.den), dict(other.den)
         union = dict(da)
         for f, m in db.items():
             union[f] = max(union.get(f, 0), m)
-        ca, cb = a._content, b._content
+        ca, cb = self._content, other._content
         g = gcd(ca, cb)
         ka = [(f, m - da.get(f, 0)) for f, m in union.items() if m != da.get(f)]
         kb = [(f, m - db.get(f, 0)) for f, m in union.items() if m != db.get(f)]
-        terms = _sum_times_forms([(a._terms, cb // g, ka), (b._terms, ca // g, kb)])
+        terms = _sum_times_forms([(self._terms, cb // g, ka), (other._terms, ca // g, kb)])
         terms, content = _canon(terms, ca // g * cb)
         if not terms:
             return MeroValue.zero(self.nvars)
-        pa, pb = (a._terms, {}, cb // g, ka), (b._terms, {}, ca // g, kb)
+        pa, pb = (self._terms, {}, cb // g, ka), (other._terms, {}, ca // g, kb)
         same = [f for f, m in da.items() if db.get(f) == m and _vanishes(f, pa, pb)]
-        return MeroValue._canonical(self.nvars, terms, content, union, self.token_pow, same)
+        terms = _cancel(terms, union, same)
+        return MeroValue(self.nvars, terms, content, _merge_dens(union.items()), self.token_pow)
 
     def __neg__(self) -> "MeroValue":
         terms = {e: (-re, -im) for e, (re, im) in self._terms.items()}
-        return MeroValue(self.nvars, terms, self._content, self.den, self.token_pow, self._reduced)
+        return MeroValue(self.nvars, terms, self._content, self.den, self.token_pow)
 
     def __sub__(self, other: "MeroValue") -> "MeroValue":
         return self + (-other)
@@ -478,22 +473,20 @@ class MeroValue:
         if isinstance(other, MeroValue):
             if self.is_zero() or other.is_zero():
                 return MeroValue.zero(self.nvars)
-            a, b = self.reduced(), other.reduced()
-            da, db = dict(a.den), dict(b.den)
+            da, db = dict(self.den), dict(other.den)
             den = dict(da)
             for f, m in db.items():
                 den[f] = den.get(f, 0) + m
-            na = _cancel(a._terms, den, [f for f in db if f not in da])
-            nb = _cancel(b._terms, den, [f for f in da if f not in db])
-            terms, content = _canon(_mul(na, nb), a._content * b._content)
-            return MeroValue(self.nvars, terms, content, _merge_dens(den.items()),
-                             a.token_pow + b.token_pow, True)
+            na = _cancel(self._terms, den, [f for f in db if f not in da])
+            nb = _cancel(other._terms, den, [f for f in da if f not in db])
+            terms, content = _canon(_mul(na, nb), self._content * other._content)
+            return MeroValue(self.nvars, terms, content, _merge_dens(den.items()), self.token_pow + other.token_pow)
         if isinstance(other, (int, Fraction, QI)):
             re, im, d = _scalar(other)
             if not (re or im):
                 return MeroValue.zero(self.nvars)
             terms, content = _canon(_scale(self._terms, re, im), self._content * d)
-            return MeroValue(self.nvars, terms, content, self.den, self.token_pow, self._reduced)
+            return MeroValue(self.nvars, terms, content, self.den, self.token_pow)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -501,14 +494,12 @@ class MeroValue:
     def mul_token(self, k: int) -> "MeroValue":
         if self.is_zero():
             return self
-        return MeroValue(self.nvars, self._terms, self._content, self.den, self.token_pow + k, self._reduced)
+        return MeroValue(self.nvars, self._terms, self._content, self.den, self.token_pow + k)
 
     def reduced(self) -> "MeroValue":
-        """Cancel every denominator form dividing the numerator; idempotent."""
-        if self._reduced:
-            return self
-        den = dict(self.den)
-        return MeroValue._canonical(self.nvars, self._terms, self._content, den, self.token_pow, list(den))
+        """The value itself, reduced when built; kept because bench/workloads.py
+        calls it and bench/spans.py patches it."""
+        return self
 
     def hyperplane_forms(self) -> frozenset:
         """Normalized homogeneous denominator forms (pole hyperplanes through 0)."""
@@ -559,42 +550,38 @@ class MeroValue:
         return num / den * tok**self.token_pow
 
     def value_at_origin(self) -> TokenScalar:
-        v = self.reduced()
-        offending = sorted(v.hyperplane_forms(), key=lambda f: f.sort_key())
+        offending = sorted(self.hyperplane_forms(), key=lambda f: f.sort_key())
         if offending:
             raise PoleAtOriginError(offending)
-        return v.eval_rational((Fraction(0),) * v.nvars)
+        return self.eval_rational((Fraction(0),) * self.nvars)
 
     def residue_on(self, form: AffineForm, point: Sequence[Fraction]) -> TokenScalar:
         """Exact simple-pole coefficient: (form * value) evaluated on the hyperplane."""
-        v = self.reduced()
         point = tuple(Fraction(x) for x in point)
-        mult = dict(v.den).get(form, 0)
+        mult = dict(self.den).get(form, 0)
         if mult == 0:
             return TokenScalar(QI.zero(), 0)
         if mult > 1:
             raise HigherOrderPoleError(form, mult)
         if form.eval(point) != 0:
             raise MeroError(f"point is not on the hyperplane {form}=0")
-        rest = [(f, m) for f, m in v.den if f != form]
+        rest = [(f, m) for f, m in self.den if f != form]
         blocking = [f for f, _ in rest if f.eval(point) == 0]
         if blocking:
             raise PoleAtPointError(blocking)
-        stripped = MeroValue(v.nvars, v._terms, v._content, tuple(rest), v.token_pow)
+        # still reduced: dropping one form cannot make another divide the numerator
+        stripped = MeroValue(self.nvars, self._terms, self._content, tuple(rest), self.token_pow)
         return stripped.eval_rational(point)
 
     def __eq__(self, other):
         if not isinstance(other, MeroValue):
             return NotImplemented
-        a = self.reduced()
-        b = other.reduced()
-        return (a.nvars, a._content, a.den, a.token_pow, a._terms) == (
-            b.nvars, b._content, b.den, b.token_pow, b._terms
+        return (self.nvars, self._content, self.den, self.token_pow, self._terms) == (
+            other.nvars, other._content, other.den, other.token_pow, other._terms
         )
 
     def __hash__(self):
-        a = self.reduced()
-        return hash((a.nvars, a._content, a.den, a.token_pow, frozenset(a._terms.items())))
+        return hash((self.nvars, self._content, self.den, self.token_pow, frozenset(self._terms.items())))
 
     def to_obj(self) -> dict:
         """JSON-ready exact representation."""

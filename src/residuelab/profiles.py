@@ -140,7 +140,7 @@ class RadialProfile(Frozen):
     def is_exact_class(self) -> bool:
         if self.is_zero():
             return True
-        return self.knots == (Fraction(0), Fraction(1))
+        return self.knots == (0, 1)
 
     def mellin_terms(self) -> Tuple[Tuple[int, Fraction], ...]:
         """Taylor data (k, c_k) with integral t^s rho dt = sum_k c_k / (s + k + 1).

@@ -14,6 +14,8 @@
   writes as plain loops.
 - `det_by_fractions`: Gaussian elimination over `Fraction`; `leibniz.subset_determinant`
   eliminates fraction-free (Bareiss) in integers.
+- `rank_basis_by_fractions`: row elimination over `Fraction`; `leibniz.rank_basis`
+  eliminates in integers, dividing each new row by the gcd of its entries.
 - `quad_variable_per_piece`: the radial quadrature with `float()` of each knot
   and coefficient, one rule per call, Horner from `np.zeros_like` and `np.sum`;
   `mellin._quad_variable` reads the profile's float view, evaluates both rules
@@ -27,7 +29,7 @@
 
 from fractions import Fraction
 from operator import mul
-from typing import Iterable, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 from residuelab import QI, AffineForm, MeroValue, RadialProfile, Scenario
 from residuelab.linform import _normalized
@@ -141,6 +143,26 @@ def det_by_fractions(matrix: Sequence[Sequence[int]]) -> Fraction:
                 f = m[r][c] / m[c][c]
                 m[r] = [a - f * b for a, b in zip(m[r], m[c])]
     return det
+
+
+def rank_basis_by_fractions(alpha: Sequence[Sequence[int]]) -> Tuple[int, List[int]]:
+    """Rank over Q and the lexicographically first maximal independent row subset (1-based)."""
+    rows = [list(map(Fraction, r)) for r in alpha]
+    basis: List[int] = []
+    reduced: List[List[Fraction]] = []
+    pivots: List[int] = []
+    for idx, row in enumerate(rows):
+        r = row[:]
+        for rr, pc in zip(reduced, pivots):
+            if r[pc]:
+                f = r[pc] / rr[pc]
+                r = [a - f * b for a, b in zip(r, rr)]
+        pc = next((j for j, v in enumerate(r) if v), None)
+        if pc is not None:
+            reduced.append(r)
+            pivots.append(pc)
+            basis.append(idx + 1)
+    return len(basis), basis
 
 
 def quad_variable_per_piece(mu: complex, u: int, rho: RadialProfile, nr: int) -> complex:

@@ -22,7 +22,7 @@ from residuelab.leibniz import halfspace_width, shape_violations, subset_determi
 from residuelab.mellin import chart_sum
 
 from corpus import absorbing_testform, random_chart, random_chart_scenario
-from engine_reference import det_by_fractions
+from engine_reference import det_by_fractions, rank_basis_by_fractions
 
 
 def test_rank_basis_examples():
@@ -216,3 +216,32 @@ def test_subset_determinant_equals_elimination_over_fractions(case):
     want = det_by_fractions([[row[i - 1] for i in cols] for row in rows])
     assert want.denominator == 1
     assert repr(subset_determinant(rows, cols)) == repr(int(want))
+
+
+@st.composite
+def _rank_cases(draw):
+    """Up to 6 rows of up to 6 integers, entries small or up to 2**40 in size:
+    zero rows are common, and a row may be a combination of earlier rows."""
+    height, width = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    entries = st.one_of(st.just(0), st.integers(-4, 4), st.integers(-(2**40), 2**40))
+    rows = []
+    for _ in range(height):
+        kind = draw(st.sampled_from(["row", "zero", "combination"]))
+        if kind == "zero":
+            rows.append([0] * width)
+        elif kind == "combination" and rows:
+            a, b = draw(st.integers(-3, 3)), draw(st.integers(-(2**20), 2**20))
+            r, s = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            rows.append([a * x + b * y for x, y in zip(r, s)])
+        else:
+            rows.append(draw(st.lists(entries, min_size=width, max_size=width)))
+    return rows
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(rows=_rank_cases())
+@example(rows=[[0, 0], [2, 4], [3, 6], [0, 1]])
+@example(rows=[[2**40, 1, 0], [1, 2**40, 0], [2**40 + 1, 2**40 + 1, 0], [0, 0, -(2**40)]])
+def test_rank_basis_equals_elimination_over_fractions(rows):
+    # integer elimination against elimination over Fraction
+    assert rank_basis(rows) == rank_basis_by_fractions(rows)

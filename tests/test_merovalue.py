@@ -4,8 +4,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from residuelab import AffineForm, LinForm, MeroValue, QI
+from residuelab import AffineForm, LinForm, MeroValue, QI, RadialProfile, mellin_exact
 from residuelab import merovalue
+from residuelab.mellin import radial_factor
 from residuelab.merovalue import (
     _PRIME,
     HigherOrderPoleError,
@@ -23,6 +24,7 @@ from residuelab.merovalue import (
 from residuelab.poly import Poly
 
 from affine_division import as_poly, deg_in, divides_affine, divmod_affine
+from corpus import random_chart_scenario
 from engine_reference import sum_times_forms_by_tuples, vanishes_at_point
 
 
@@ -54,7 +56,7 @@ def test_reduce_square():
     assert r.num == lam(3, 1)
 
 
-def _random_value(rng, n=3, token=0):
+def _random_num_den(rng, n=3):
     num = Poly.zero(n)
     for _ in range(rng.randint(1, 4)):
         e = tuple(rng.randint(0, 2) for _ in range(n))
@@ -69,7 +71,11 @@ def _random_value(rng, n=3, token=0):
         if not any(vec):
             vec[rng.randrange(n)] = 1
         den.append((AffineForm.normalize(vec, rng.randint(0, 2)), rng.randint(1, 2)))
-    return MeroValue.from_poly(num, den, token)
+    return num, den
+
+
+def _random_value(rng, n=3, token=0):
+    return MeroValue.from_poly(*_random_num_den(rng, n), token)
 
 
 def _random_point(rng, n, forms):
@@ -79,13 +85,28 @@ def _random_point(rng, n, forms):
             return pt
 
 
+def _poly_at(num, pt):
+    total = QI.zero()
+    for e, c in num.terms.items():
+        m = Fraction(1)
+        for x, k in zip(pt, e):
+            m *= x**k
+        total = total + c * m
+    return total
+
+
 def test_reduce_preserves_evaluation():
+    # the reduced value against num / prod den evaluated term by term
     rng = random.Random(5)
     for _ in range(100):
-        v = _random_value(rng)
-        r = v.reduced()
-        pt = _random_point(rng, 3, v.den)
-        assert v.eval_rational(pt) == r.eval_rational(pt)
+        num, den = _random_num_den(rng)
+        for f, _ in den[: rng.randint(0, len(den))]:
+            num = num * as_poly(f)  # so that forms cancel
+        pt = _random_point(rng, 3, den)
+        want = _poly_at(num, pt)
+        for f, m in den:
+            want = want / f.eval(pt) ** m
+        assert MeroValue.from_poly(num, den).eval_rational(pt).coeff == want
 
 
 def test_ring_laws():
@@ -191,13 +212,18 @@ def poly_st(draw, max_terms=3):
 
 
 @st.composite
-def value_st(draw, token=1):
-    """num * (some pool forms) / (some pool forms), so that forms often cancel."""
+def num_den_st(draw):
+    """num * (some pool forms) and (some pool forms), so that forms often cancel."""
     num = draw(poly_st())
     for f in draw(st.lists(forms_st, max_size=2)):
         num = num * as_poly(f)
     den = [(f, draw(st.integers(1, 2))) for f in draw(st.lists(forms_st, max_size=3))]
-    return MeroValue.from_poly(num, den, token)
+    return num, den
+
+
+@st.composite
+def value_st(draw, token=1):
+    return MeroValue.from_poly(*draw(num_den_st()), token)
 
 
 point_st = st.tuples(*[st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))] * NV)
@@ -222,28 +248,71 @@ def test_property_ring_laws(a, b, c):
     assert _obj((a + b) - b) == _obj(a)
 
 
+def _times(num, den):
+    """num * prod f^m over den."""
+    for f, m in den:
+        for _ in range(m):
+            num = num * as_poly(f)
+    return num
+
+
 @SETTINGS
-@given(value_st())
-def test_property_reduced_is_idempotent(v):
-    r = v.reduced()
+@given(num_den_st(), st.lists(forms_st, max_size=2))
+def test_property_reduced_is_idempotent(case, extra):
+    # num / den, its own reduced pair and num * g / (den * g) all build one value
+    num, den = case
+    r = MeroValue.from_poly(num, den, 1)
     assert r.reduced() is r
-    again = MeroValue.from_poly(r.num, r.den, r.token_pow).reduced()
-    assert again.to_obj() == r.to_obj()
+    assert MeroValue.from_poly(r.num, r.den, 1).to_obj() == r.to_obj()
+    extra = [(g, 1) for g in extra]
+    assert MeroValue.from_poly(_times(num, extra), den + extra, 1).to_obj() == r.to_obj()
 
 
 @SETTINGS
-@given(value_st())
-def test_property_removed_forms_divide_and_kept_forms_do_not(v):
-    r = v.reduced()
+@given(num_den_st())
+def test_property_removed_forms_divide_and_kept_forms_do_not(case):
+    num, den = case
+    r = MeroValue.from_poly(num, den)
     kept = dict(r.den)
-    num = v.num
-    for f, m in v.den:
+    given_den = {}
+    for f, m in den:
+        given_den[f] = given_den.get(f, 0) + m
+    for f, m in given_den.items():
         assert kept.get(f, 0) <= m
         for _ in range(m - kept.get(f, 0)):
             num, rem = divmod_affine(num, f)
             assert rem.is_zero()
     assert num == r.num
     assert not any(divides_affine(r.num, f) for f in kept)
+
+
+def _assert_reduced(v):
+    num = v.num
+    assert not any(divides_affine(num, f) for f, _ in v.den)
+
+
+@SETTINGS
+@given(
+    num_den_st(),
+    value_st(),
+    value_st(),
+    coeff_st,
+    st.lists(st.integers(-3, 3), min_size=NV, max_size=NV),
+    st.integers(-4, 2),
+    st.lists(small_fraction, min_size=1, max_size=5),
+    st.integers(0, 2**32 - 1),
+)
+def test_property_every_built_value_is_reduced(case, a, b, c, column, shift, rho, seed):
+    num, den = case
+    _assert_reduced(MeroValue.from_poly(num, den))
+    _assert_reduced(MeroValue.monomial(NV, (1, 2), c))
+    _assert_reduced(MeroValue.const(NV, c, 1))
+    for v in (a + b, a - b, a + (b - a), a * b, a * c, a.mul_token(2)):
+        _assert_reduced(v)
+    if any(column) or shift >= 0:
+        _assert_reduced(radial_factor(NV, column, shift, RadialProfile.on_unit(rho)))
+    sc = random_chart_scenario(random.Random(seed), nmax=3, pmax=2, qmax=2)
+    _assert_reduced(mellin_exact(sc, sc.charts[0]))
 
 
 @SETTINGS
@@ -267,14 +336,6 @@ def test_property_eval_rational_is_a_homomorphism(a, b, pt):
     prod = (a * b).eval_rational(pt)
     assert prod.coeff == x.coeff * y.coeff
     assert prod.power == (x.power + y.power if prod.coeff else 0)
-
-
-def _times(num, den):
-    """num * prod f^m over den."""
-    for f, m in den:
-        for _ in range(m):
-            num = num * as_poly(f)
-    return num
 
 
 @SETTINGS
