@@ -10,8 +10,9 @@ command loads only the modules it runs.
 from importlib import import_module as _import_module
 
 _EXPORTS = {
-    "charts": "ChartSpec Factor ProblemSignature Scenario ScenarioError SeparableTerm SeparableTestForm "
+    "charts": "ChartSpec Factor ProblemSignature Scenario SeparableTerm SeparableTestForm "
     "blowup_base blowup_example blowup_parts diagonal_scenario parse_scenario pullback",
+    "errors": "InputError ScenarioError",
     "deduction": "CurrentSymbol PoleConstraint ProofTrace combine deduce equality_terms initial_constraint",
     "extforms": "PolyForm annihilated_by_row_differentials build_interpolant d_monomial "
     "log_wedge_nonsingular pullback_monomial restrict_extend wedge",
@@ -22,7 +23,7 @@ _EXPORTS = {
     "mellin": "extreme_pole mellin_exact mellin_quadrature residue_on value_at_origin",
     "merovalue": "MeroValue PoleAtOriginError TokenScalar",
     "poly": "Poly",
-    "profiles": "ExactnessError InputError RadialProfile",
+    "profiles": "ExactnessError RadialProfile",
     "tubes": "TubeSpec UnsupportedTubeError admissible_limit mellin_check tube_integral tube_spec_from_chart",
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}

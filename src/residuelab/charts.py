@@ -4,7 +4,8 @@ Factor ordering convention: the engine numbers the continuation parameters
 L1..L(p+q) with the antiholomorphic-derivative factors first (rows of
 `alpha`, indices 1..p) and the principal-value factors last (rows of
 `beta`, indices p+1..p+q).  Variable indices are 1-based throughout the
-public API and the file format.
+public API and the file format, which `parse_scenario` reads; it names a bad
+field with an `errors.ScenarioError`.
 """
 
 from __future__ import annotations
@@ -14,37 +15,10 @@ from fractions import Fraction
 from operator import add, mul
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
+from .errors import ScenarioError, _int, _matrix, _rational, _typed
 from .frozen import Frozen, _set
 from .gaussian import QI
-from .profiles import InputError, RadialProfile
-
-
-class ScenarioError(InputError):
-    """Validation failure, carrying the path of the offending field."""
-
-    def __init__(self, path: str, message: str):
-        self.path = path
-        self.message = message
-        super().__init__(f"{path}: {message}")
-
-
-def _rational(v, path: str) -> Fraction:
-    # `type(x) is int`, not isinstance: JSON true and false parse to bools
-    if isinstance(v, (list, tuple)) and len(v) == 2 and all(type(x) is int for x in v):
-        if v[1] == 0:
-            raise ScenarioError(path, "zero denominator")
-        return Fraction(v[0], v[1])
-    if type(v) is int:
-        return Fraction(v)
-    raise ScenarioError(path, f"expected rational as [num, den], got {v!r}")
-
-
-def _int(v, path: str, minimum: Optional[int] = None) -> int:
-    if not isinstance(v, int) or isinstance(v, bool):
-        raise ScenarioError(path, f"expected integer, got {v!r}")
-    if minimum is not None and v < minimum:
-        raise ScenarioError(path, f"must be >= {minimum}, got {v}")
-    return v
+from .profiles import RadialProfile
 
 
 class ProblemSignature(Frozen):
@@ -225,12 +199,9 @@ def parse_scenario(document) -> Scenario:
             raise ScenarioError("$", f"invalid JSON: {exc}") from exc
     else:
         obj = document
-    if not isinstance(obj, dict):
-        raise ScenarioError("$", "top level must be an object")
+    obj = _typed(obj, dict, "$", "top level must be an object")
 
-    sig_obj = obj.get("signature")
-    if not isinstance(sig_obj, dict):
-        raise ScenarioError("signature", "missing or not an object")
+    sig_obj = _typed(obj.get("signature"), dict, "signature", "missing or not an object")
     sig = ProblemSignature(
         _int(sig_obj.get("n"), "signature.n", 1),
         _int(sig_obj.get("p"), "signature.p", 0),
@@ -238,115 +209,72 @@ def parse_scenario(document) -> Scenario:
         _int(sig_obj.get("N", 1), "signature.N", 1),
     )
 
-    charts_obj = obj.get("charts")
-    if not isinstance(charts_obj, list) or not charts_obj:
-        raise ScenarioError("charts", "need a nonempty chart list")
+    # `or None`: an empty list or name fails the check too
+    charts_obj = _typed(obj.get("charts") or None, list, "charts", "need a nonempty chart list")
     charts = []
     names = set()
     for ci, c in enumerate(charts_obj):
         base = f"charts[{ci}]"
-        if not isinstance(c, dict):
-            raise ScenarioError(base, "expected object")
-        name = c.get("name")
-        if not isinstance(name, str) or not name:
-            raise ScenarioError(f"{base}.name", "chart name must be a nonempty string")
+        c = _typed(c, dict, base, "expected object")
+        name = _typed(c.get("name") or None, str, f"{base}.name", "chart name must be a nonempty string")
         if name in names:
             raise ScenarioError(f"{base}.name", f"duplicate chart name {name!r}")
         names.add(name)
         alpha = _matrix(c.get("alpha", []), sig.p, sig.n, f"{base}.alpha")
         beta = _matrix(c.get("beta", []), sig.q, sig.n, f"{base}.beta")
-        jac_obj = c.get("jac", [0] * sig.n)
-        if not isinstance(jac_obj, list) or len(jac_obj) != sig.n:
-            raise ScenarioError(f"{base}.jac", f"expected {sig.n} exponents")
+        jac_obj = _typed(c.get("jac", [0] * sig.n), list, f"{base}.jac", f"expected {sig.n} exponents", sig.n)
         jac = tuple(_int(v, f"{base}.jac[{j}]", 0) for j, v in enumerate(jac_obj))
         sign = _int(c.get("sign", 1), f"{base}.sign")
         if sign not in (1, -1):
             raise ScenarioError(f"{base}.sign", "sign must be +1 or -1")
-        flags_obj = c.get("unit_flags", [False] * sig.nfactors)
-        if not isinstance(flags_obj, list) or len(flags_obj) != sig.nfactors:
-            raise ScenarioError(f"{base}.unit_flags", f"expected {sig.nfactors} booleans")
-        for j, v in enumerate(flags_obj):
-            if not isinstance(v, bool):
-                raise ScenarioError(f"{base}.unit_flags[{j}]", f"expected a boolean, got {v!r}")
-        flags = tuple(flags_obj)
+        flags = c.get("unit_flags", [False] * sig.nfactors)
+        flags = _typed(flags, list, f"{base}.unit_flags", f"expected {sig.nfactors} booleans", sig.nfactors)
+        for j, v in enumerate(flags):
+            _typed(v, bool, f"{base}.unit_flags[{j}]", "expected a boolean, got %r")
         for ri, row in enumerate(alpha):
             if not any(row) and not flags[ri]:
-                raise ScenarioError(
-                    f"{base}.alpha[{ri}]",
-                    "zero exponent row needs an explicit unit flag",
-                )
-        charts.append(ChartSpec(name, alpha, beta, jac, sign, flags))
+                raise ScenarioError(f"{base}.alpha[{ri}]", "zero exponent row needs an explicit unit flag")
+        charts.append(ChartSpec(name, alpha, beta, jac, sign, tuple(flags)))
 
     testforms: Dict[str, SeparableTestForm] = {}
-    tf_obj = obj.get("testforms", {})
-    if not isinstance(tf_obj, dict):
-        raise ScenarioError("testforms", "expected object keyed by chart name")
+    tf_obj = _typed(obj.get("testforms", {}), dict, "testforms", "expected object keyed by chart name")
     for name, body in tf_obj.items():
         base = f"testforms[{name!r}]"
         if name not in names:
             raise ScenarioError(base, "no chart with this name")
-        terms_obj = body.get("terms") if isinstance(body, dict) else None
-        if not isinstance(terms_obj, list):
-            raise ScenarioError(f"{base}.terms", "expected a term list")
+        shape = f"{base}.terms", "expected a term list"
+        terms_obj = _typed(_typed(body, dict, *shape).get("terms"), list, *shape)
         terms = []
         for ti, t in enumerate(terms_obj):
             tb = f"{base}.terms[{ti}]"
-            if not isinstance(t, dict):
-                raise ScenarioError(tb, "expected object")
-            co = t.get("coeff", {})
-            if not isinstance(co, dict):
-                raise ScenarioError(f"{tb}.coeff", "expected object with re and im")
+            t = _typed(t, dict, tb, "expected object")
+            co = _typed(t.get("coeff", {}), dict, f"{tb}.coeff", "expected object with re and im")
             coeff = QI(
                 _rational(co.get("re", [0, 1]), f"{tb}.coeff.re"),
                 _rational(co.get("im", [0, 1]), f"{tb}.coeff.im"),
             )
-            fs = t.get("factors")
-            if not isinstance(fs, list) or len(fs) != sig.n:
-                raise ScenarioError(f"{tb}.factors", f"expected {sig.n} per-variable factors")
+            fs = _typed(t.get("factors"), list, f"{tb}.factors", f"expected {sig.n} per-variable factors", sig.n)
             factors = []
             for fi, f in enumerate(fs):
                 fb = f"{tb}.factors[{fi}]"
-                if not isinstance(f, dict):
-                    raise ScenarioError(fb, "expected object")
+                f = _typed(f, dict, fb, "expected object")
                 a = _int(f.get("a", 0), f"{fb}.a", 0)
                 b = _int(f.get("b", 0), f"{fb}.b", 0)
                 rho = RadialProfile.from_obj(f.get("rho"), f"{fb}.rho")
                 factors.append(Factor(a, b, rho))
-            slots_obj = t.get("dbar_slots", [])
-            if not isinstance(slots_obj, list):
-                raise ScenarioError(f"{tb}.dbar_slots", "expected index list")
-            slots = [
-                _int(v, f"{tb}.dbar_slots[{si}]", 1) for si, v in enumerate(slots_obj)
-            ]
+            slots_obj = _typed(t.get("dbar_slots", []), list, f"{tb}.dbar_slots", "expected index list")
+            slots = [_int(v, f"{tb}.dbar_slots[{si}]", 1) for si, v in enumerate(slots_obj)]
             if any(v > sig.n for v in slots):
                 raise ScenarioError(f"{tb}.dbar_slots", f"index out of range 1..{sig.n}")
             if len(set(slots)) != len(slots):
                 raise ScenarioError(f"{tb}.dbar_slots", "indices must be distinct")
             if len(slots) != sig.n - sig.p:
-                raise ScenarioError(
-                    f"{tb}.dbar_slots",
-                    f"need exactly n-p = {sig.n - sig.p} antiholomorphic slots",
-                )
+                raise ScenarioError(f"{tb}.dbar_slots", f"need exactly n-p = {sig.n - sig.p} antiholomorphic slots")
             terms.append(SeparableTerm(coeff, tuple(factors), frozenset(slots)))
         testforms[name] = SeparableTestForm(tuple(terms))
 
-    metadata = obj.get("metadata", {})
-    if not isinstance(metadata, dict):
-        raise ScenarioError("metadata", "expected object")
+    metadata = _typed(obj.get("metadata", {}), dict, "metadata", "expected object")
     return Scenario(sig, tuple(charts), testforms, metadata)
-
-
-def _matrix(rows, nrows: int, ncols: int, path: str) -> Tuple[Tuple[int, ...], ...]:
-    if not isinstance(rows, list) or len(rows) != nrows:
-        raise ScenarioError(path, f"expected {nrows} rows")
-    out = []
-    for ri, row in enumerate(rows):
-        if not isinstance(row, list) or len(row) != ncols:
-            raise ScenarioError(f"{path}[{ri}]", f"expected {ncols} entries")
-        out.append(
-            tuple(_int(v, f"{path}[{ri}][{j}]", 0) for j, v in enumerate(row))
-        )
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

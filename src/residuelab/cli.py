@@ -1,7 +1,7 @@
 """Command-line interface: scenario I/O, reports, and the packaged example.
 
 Exit codes: 0 all verdicts pass, 1 a verdict failed, 2 input or usage error (an
-InputError), 3 internal error (any other exception: an engine fault).
+`errors.InputError`), 3 internal error (any other exception: an engine fault).
 JSON reports are byte-reproducible for identical inputs and options; wall
 clock timing appears only in the human table output.
 """
@@ -14,13 +14,14 @@ import math
 import sys
 import time
 from fractions import Fraction
-from typing import List, Optional, Sequence
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
-# what every command needs; each command imports the engine modules it runs
-from .charts import ChartSpec, Scenario, ScenarioError, _int, _matrix, parse_scenario
+# what every command needs; each command imports the modules it runs
+from .errors import InputError, ScenarioError, _int, _matrix, _typed
 from .frozen import Frozen, _set
-from .gaussian import QI
-from .profiles import ExactnessError, InputError
+
+if TYPE_CHECKING:  # annotations only: a command imports charts when it parses a scenario
+    from .charts import ChartSpec, Scenario
 
 
 class Report(Frozen):
@@ -100,6 +101,8 @@ def _read_json(path: str, key: str, report: Report):
 
 
 def _load_scenario(path: str, report: Report) -> Scenario:
+    from .charts import parse_scenario
+
     return parse_scenario(_read_json(path, "scenario", report))
 
 
@@ -180,6 +183,7 @@ def _complex_obj(z: complex) -> dict:
 
 def cmd_poles(args, report: Report) -> None:
     from .leibniz import chart_certificate, global_certificate, shape_violations
+    from .profiles import ExactnessError
 
     scenario = _load_scenario(args.scenario, report)
     p = scenario.signature.p
@@ -257,6 +261,7 @@ def cmd_global(args, report: Report) -> None:
 
 
 def cmd_residue(args, report: Report) -> None:
+    from .gaussian import QI
     from .mellin import mellin_exact, residue_on
     from .merovalue import HigherOrderPoleError, PoleAtPointError, TokenScalar
 
@@ -286,6 +291,7 @@ def cmd_residue(args, report: Report) -> None:
 
 def cmd_tube(args, report: Report) -> None:
     from .mellin import mellin_exact, value_at_origin
+    from .profiles import ExactnessError
     from .tubes import PATH_M, admissible_limit, path_exponents, tube_integral
 
     scenario = _load_scenario(args.scenario, report)
@@ -322,10 +328,12 @@ def cmd_mellin_check(args, report: Report) -> None:
     lambdas = [_fractions(tok, "--lam", scenario.signature.nfactors) for tok in args.lam]
     if any(x < 2 for lam in lambdas for x in lam):
         raise ScenarioError("--lam", "mellin-check needs every value >= 2")
-    rows = mellin_check(spec, testform, [_complexes(lam, "--lam") for lam in lambdas])
+    points = [_complexes(lam, "--lam") for lam in lambdas]
+    keys = [",".join(str(z.real) for z in lam) for lam in points]  # each row's report key
+    if len(set(keys)) < len(keys):
+        raise ScenarioError("--lam", f"two rows read as the same float values {max(keys, key=keys.count)}")
     signs = set()
-    for row in rows:
-        key = ",".join(str(z.real) for z in row.lam)
+    for key, row in zip(keys, mellin_check(spec, testform, points)):
         report.results[f"lambda({key})"] = {
             "transform": _complex_obj(row.transform),
             "reference": _complex_obj(row.reference),
@@ -346,19 +354,13 @@ def cmd_divlemma(args, report: Report) -> None:
         log_wedge_nonsingular,
     )
 
-    obj = _read_json(args.file, "file", report)
-    if not isinstance(obj, dict):
-        raise ScenarioError(args.file, "expected a JSON object")
+    obj = _typed(_read_json(args.file, "file", report), dict, args.file, "expected a JSON object")
     n = _int(obj.get("n"), "n", 1)
-    K = obj.get("K", [])
-    if not isinstance(K, list):
-        raise ScenarioError("K", "expected an index list")
+    K = _typed(obj.get("K", []), list, "K", "expected an index list")
     for i, j in enumerate(K):
         if _int(j, f"K[{i}]", 1) > n or j in K[:i]:
             raise ScenarioError(f"K[{i}]", f"expected a distinct index in 1..{n}, got {j}")
-    alphas = obj.get("alphas", [])
-    if not isinstance(alphas, list):
-        raise ScenarioError("alphas", "expected a list of exponent rows")
+    alphas = _typed(obj.get("alphas", []), list, "alphas", "expected a list of exponent rows")
     rows = _matrix(alphas, len(alphas), n, "alphas")
     for r, row in enumerate(rows):
         if not any(row):
@@ -392,6 +394,7 @@ def cmd_deduce(args, report: Report) -> None:
 
 def cmd_example3(args, report: Report) -> None:
     from .charts import blowup_example, blowup_parts
+    from .gaussian import QI
     from .leibniz import chart_certificate
     from .linform import AffineForm
     from .mellin import chart_sum, mellin_exact, residue_on, value_at_origin

@@ -12,6 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, Iterable, Mapping, Sequence, Tuple
 
+from .errors import ScenarioError, _int, _rational, _typed
 from .frozen import Frozen, _set
 from .leibniz import inversion_parity
 from .poly import Poly
@@ -251,35 +252,25 @@ def pullback_monomial(form: PolyForm, subst: Sequence[Sequence[int]], nvars_out:
 
 
 def form_from_obj(obj: dict, nvars: int, path: str = "form") -> PolyForm:
-    from .charts import ScenarioError, _int, _rational
-
-    if not isinstance(obj, dict) or "degree" not in obj or not isinstance(obj.get("terms"), list):
-        raise ScenarioError(path, "expected {degree, terms}")
+    shape = path, "expected {degree, terms}"
+    obj = _typed(obj, dict, *shape)
+    terms = _typed(obj.get("terms") if "degree" in obj else None, list, *shape)
     degree = _int(obj["degree"], f"{path}.degree", 0)
     form = PolyForm.zero(nvars, degree)
-    for ti, t in enumerate(obj["terms"]):
+    for ti, t in enumerate(terms):
         tb = f"{path}.terms[{ti}]"
-        if not isinstance(t, dict):
-            raise ScenarioError(tb, "expected object")
-        idx = t.get("idx")
-        if not isinstance(idx, list):
-            raise ScenarioError(f"{tb}.idx", "expected index list")
-        if len(idx) != degree:
-            raise ScenarioError(f"{tb}.idx", f"expected one index per degree ({degree}), got {len(idx)}")
+        t = _typed(t, dict, tb, "expected object")
+        idx = _typed(t.get("idx"), list, f"{tb}.idx", "expected index list")
+        idx = _typed(idx, list, f"{tb}.idx", f"expected one index per degree ({degree}), got {len(idx)}", degree)
         idx = [_int(v, f"{tb}.idx[{k}]", 1) for k, v in enumerate(idx)]
         for k, i in enumerate(idx):
             if i > nvars:
                 raise ScenarioError(f"{tb}.idx[{k}]", f"expected an index in 1..{nvars}, got {i}")
-        monos = t.get("poly", [])
-        if not isinstance(monos, list):
-            raise ScenarioError(f"{tb}.poly", "expected monomial list")
+        monos = _typed(t.get("poly", []), list, f"{tb}.poly", "expected monomial list")
         poly = Poly.zero(nvars)
         for mi, mono in enumerate(monos):
-            if not isinstance(mono, dict):
-                raise ScenarioError(f"{tb}.poly[{mi}]", "expected object")
-            exps = mono.get("exps")
-            if not isinstance(exps, list) or len(exps) != nvars:
-                raise ScenarioError(f"{tb}.poly[{mi}].exps", f"expected {nvars} exponents")
+            mono = _typed(mono, dict, f"{tb}.poly[{mi}]", "expected object")
+            exps = _typed(mono.get("exps"), list, f"{tb}.poly[{mi}].exps", f"expected {nvars} exponents", nvars)
             exps = [_int(v, f"{tb}.poly[{mi}].exps[{k}]", 0) for k, v in enumerate(exps)]
             coeff = _rational(mono.get("coeff"), f"{tb}.poly[{mi}].coeff")
             poly = poly + Poly.monomial(nvars, exps, coeff)

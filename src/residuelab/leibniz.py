@@ -13,11 +13,14 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
-from typing import Iterable, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Iterable, List, Sequence, Tuple
 
-from .charts import ChartSpec, InputError, Scenario
+from .errors import InputError
 from .frozen import Frozen, _set
 from .linform import AffineForm
+
+if TYPE_CHECKING:  # annotations only, so extforms (and divlemma) load no charts
+    from .charts import ChartSpec, Scenario
 
 
 class ResonantUnitsError(InputError):

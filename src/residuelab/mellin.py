@@ -14,7 +14,8 @@ from functools import lru_cache
 from math import lcm, prod
 from typing import Dict, Optional, Sequence, Tuple, Union
 
-from .charts import ChartSpec, Factor, InputError, Scenario, ScenarioError, SeparableTestForm
+from .charts import ChartSpec, Factor, Scenario, SeparableTestForm
+from .errors import InputError, ScenarioError
 from .frozen import Frozen, _set
 from .gaussian import QI
 from .leibniz import check_units, dbar_front_sign, subset_determinant
@@ -33,21 +34,22 @@ class DivergenceError(ValueError):
     """Integrand not locally integrable and no parameter available to continue in."""
 
 
-def _mellin_sum(nvars: int, mu_vec: Sequence[int], shift: int, rho: RadialProfile) -> MeroValue:
-    """Sum_k c_k / (s + d_k) with s = mu.L and d_k = shift + k + 1, reduced; mu
-    may be the zero column.
+def radial_factor(nvars: int, mu_vec: Sequence[int], shift: int, rho: RadialProfile) -> MeroValue:
+    """Value of one angularly selected variable: -2*pi*i times the Mellin sum
+    sum_k c_k / (s + d_k), s = mu.L and d_k = shift + k + 1, reduced; mu may be
+    the zero column.
 
     Over prod_k (s + d_k) the numerator is P(s) = sum_k c_k prod_{j != k} (s + d_j).
     The forms s + d_k are parallel with distinct constants, so pairwise coprime,
     and none divides P: at s = -d_k, P = c_k prod_{j != k} (d_j - d_k) != 0.  So
-    P(s) / prod_k (s + d_k) is written down reduced, with no division tried.
+    -P(s) / prod_k (s + d_k) is written down reduced, with no division tried.
     """
     terms = rho.mellin_terms()
     ds = [shift + k + 1 for k, _ in terms]
     if not any(mu_vec):
         if ds and ds[0] <= 0:
             raise DivergenceError(f"radial integrand t^{ds[0] - 1} has no parameter to continue in")
-        return MeroValue.const(nvars, sum(c / d for (_, c), d in zip(terms, ds)))
+        return MeroValue.const(nvars, -sum(c / d for (_, c), d in zip(terms, ds)), 1)
     if not terms:
         return MeroValue.zero(nvars)
     # P in integers over the common denominator D of the c_k, constant first
@@ -62,13 +64,8 @@ def _mellin_sum(nvars: int, mu_vec: Sequence[int], shift: int, rho: RadialProfil
     forms = [_normalized(mu_vec, d) for d in ds]  # s + d_k = g_k * F_k, F_k normalized
     # distinct d_k give distinct forms, and (vec, const) order is their sort_key order
     den = tuple((AffineForm(vec, const), 1) for vec, const, _ in sorted(forms))
-    return MeroValue.in_one_form(AffineForm(tuple(mu_vec)), P, D * prod(g for _, _, g in forms), den)
-
-
-def radial_factor(nvars: int, mu_vec: Sequence[int], shift: int, rho: RadialProfile) -> MeroValue:
-    """Value of one angularly selected variable: -2*pi*i times the Mellin sum."""
-    s = _mellin_sum(nvars, mu_vec, shift, rho)
-    return (-s).mul_token(1)
+    content = -D * prod(g for _, _, g in forms)  # negative, so in_one_form negates the sum
+    return MeroValue.in_one_form(AffineForm(tuple(mu_vec)), P, content, den).mul_token(1)
 
 
 def _resolve_chart(scenario: Scenario, chart: Union[ChartSpec, str]) -> ChartSpec:

@@ -4,7 +4,8 @@ The exact Mellin machinery needs knots contained in {0, 1}: a knot at any
 other point would put factors like 4^s into the transform, which no rational
 function of the parameters can represent.  Profiles with other rational
 knots are still valid data for the floating-point paths (quadrature, tube
-integrals); the exact evaluator rejects them with ExactnessError.
+integrals); the exact evaluator rejects them with ExactnessError, an
+`errors.InputError`.
 """
 
 from __future__ import annotations
@@ -15,12 +16,9 @@ from fractions import Fraction
 from functools import cached_property
 from typing import List, Sequence, Tuple
 
+from .errors import InputError, ScenarioError, _rational, _typed
 from .frozen import Frozen, _set
 from .gaussian import _frac
-
-
-class InputError(ValueError):
-    """Bad input, named in the message; the CLI exits 2 on it and 3 on any other error."""
 
 
 class ExactnessError(InputError):
@@ -224,21 +222,16 @@ class RadialProfile(Frozen):
 
     @staticmethod
     def from_obj(obj: dict, path: str = "rho") -> "RadialProfile":
-        from .charts import ScenarioError, _rational
-
-        if not isinstance(obj, dict) or "knots" not in obj or "pieces" not in obj:
-            raise ScenarioError(path, "expected {knots, pieces}")
-
-        def listed(v, where: str) -> list:
-            if not isinstance(v, list):
-                raise ScenarioError(f"{path}.{where}", f"expected a list, got {v!r}")
-            return v
-
-        knots = [_rational(v, f"{path}.knots[{i}]") for i, v in enumerate(listed(obj["knots"], "knots"))]
-        pieces = [
-            tuple(_rational(c, f"{path}.pieces[{i}][{j}]") for j, c in enumerate(listed(p, f"pieces[{i}]")))
-            for i, p in enumerate(listed(obj["pieces"], "pieces"))
-        ]
+        shape = path, "expected {knots, pieces}"
+        if not {"knots", "pieces"} <= _typed(obj, dict, *shape).keys():
+            raise ScenarioError(*shape)
+        knots = _typed(obj["knots"], list, f"{path}.knots", "expected a list, got %r")
+        knots = [_rational(v, f"{path}.knots[{i}]") for i, v in enumerate(knots)]
+        pieces_obj = _typed(obj["pieces"], list, f"{path}.pieces", "expected a list, got %r")
+        pieces = []
+        for i, p in enumerate(pieces_obj):
+            p = _typed(p, list, f"{path}.pieces[{i}]", "expected a list, got %r")
+            pieces.append(tuple(_rational(c, f"{path}.pieces[{i}][{j}]") for j, c in enumerate(p)))
         try:
             return RadialProfile(tuple(knots), tuple(pieces))
         except ValueError as exc:

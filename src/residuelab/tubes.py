@@ -19,7 +19,8 @@ import math
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .charts import ChartSpec, Factor, InputError, ProblemSignature, Scenario, ScenarioError, SeparableTestForm
+from .charts import ChartSpec, Factor, ProblemSignature, Scenario, SeparableTestForm
+from .errors import InputError, ScenarioError
 from .frozen import Frozen, _set
 from .mellin import _complexes, _gauss_legendre, mellin_exact, term_plan
 

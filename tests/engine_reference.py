@@ -2,7 +2,7 @@
 
 - `mellin_sum_by_additions`: the radial Mellin sum built with K - 1 full
   MeroValue additions, each normalizing one form and reducing the sum;
-  `mellin._mellin_sum` writes the reduced value down in closed form.
+  `mellin.radial_factor` writes the reduced value, times -2*pi*i, in closed form.
 - `sum_times_forms_by_tuples`: the common-denominator expansion of a sum, one
   (re, im) tuple per monomial and one real form at a time;
   `merovalue._sum_times_forms` packs each coefficient and each power of the

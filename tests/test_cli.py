@@ -157,6 +157,21 @@ def test_mellin_check_command(capsys, diagonal_file):
     assert all(v["pass"] for v in obj["verdicts"])
 
 
+def test_mellin_check_rejects_rows_that_share_a_report_key(capsys, tmp_path):
+    # each row reports under the float text of its lambda, so two rows that
+    # read as the same floats would overwrite one another's result
+    path = tmp_path / "diag1.json"
+    path.write_text(diagonal_scenario([1], p=1).to_json())
+    for lams in (["3", "3"], ["3", "30000000000000001/10000000000000000"]):
+        code = main(["mellin-check", str(path), *(x for lam in lams for x in ("--lam", lam))])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: --lam: ")
+    code, out = run(capsys, "mellin-check", str(path), "--lam", "3", "--lam", "4", "--format", "json")
+    assert code == 0
+    assert sorted(json.loads(out)["results"]) == ["lambda(3.0)", "lambda(4.0)"]
+
+
 def test_tube_commands_apply_the_chart_sign(capsys, tmp_path):
     # a tube that dropped the chart's sign would meet the origin value and
     # the exact value with the wrong sign
@@ -748,3 +763,8 @@ def test_exact_commands_start_without_numpy(tmp_path, blowup_file, diagonal_file
     assert loading("residuelab.extforms") == {"divlemma"}
     assert not loading("residuelab.mellin") & {"deduce", "divlemma"}
     assert not loaded["deduce"] & {"residuelab.merovalue", "residuelab.leibniz"}
+    # deduce and divlemma read their input through errors alone, without charts
+    for module in ("residuelab.charts", "residuelab.profiles", "residuelab.gaussian"):
+        assert loading(module) == set(commands) - {"deduce", "divlemma"}, module
+    package = {m for m in loaded["deduce"] if m.startswith("residuelab.")}
+    assert package <= {"residuelab.cli", "residuelab.errors", "residuelab.frozen", "residuelab.deduction"}

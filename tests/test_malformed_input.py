@@ -217,3 +217,20 @@ def test_one_knot_profile_is_input_error(tmp_path):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         assert main(["tube", str(file)]) == 2
     assert "testforms['diag'].terms[0].factors[0].rho" in err.getvalue()
+
+
+def test_a_type_error_shows_the_value_it_got():
+    # the field readers build the value's repr only when the check fails
+    doc = blowup_example().to_obj()
+    doc["charts"][0]["unit_flags"] = [False, (1,), "%s"]
+    cases = [
+        (lambda: RadialProfile.from_obj({"knots": "x", "pieces": []}), "rho.knots: expected a list, got 'x'"),
+        (lambda: RadialProfile.from_obj({"knots": [], "pieces": (1, 2)}), "rho.pieces: expected a list, got (1, 2)"),
+        (lambda: RadialProfile.from_obj({"knots": [0, 1], "pieces": [(1,)]}), "rho.pieces[0]: expected a list, got (1,)"),
+        (lambda: RadialProfile.from_obj({"knots": [0, 1], "pieces": ["%r"]}), "rho.pieces[0]: expected a list, got '%r'"),
+        (lambda: parse_scenario(doc), "charts[0].unit_flags[1]: expected a boolean, got (1,)"),
+    ]
+    for parse, message in cases:
+        with pytest.raises(ScenarioError) as exc:
+            parse()
+        assert str(exc.value) == message
