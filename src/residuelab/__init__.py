@@ -11,7 +11,7 @@ from importlib import import_module as _import_module
 
 _EXPORTS = {
     "charts": "ChartSpec Factor ProblemSignature Scenario SeparableTerm SeparableTestForm "
-    "blowup_base blowup_example blowup_parts diagonal_scenario parse_scenario pullback",
+    "blowup_base blowup_example blowup_parts diagonal_scenario integrate_by_parts parse_scenario pullback",
     "errors": "InputError ScenarioError",
     "deduction": "CurrentSymbol PoleConstraint ProofTrace combine deduce equality_terms initial_constraint",
     "extforms": "PolyForm annihilated_by_row_differentials build_interpolant d_monomial "

@@ -398,32 +398,49 @@ def blowup_base(profiles=None) -> Scenario:
     return Scenario(sig, (chart,), {"base": SeparableTestForm((term,))})
 
 
+def integrate_by_parts(base: Scenario) -> Scenario:
+    """The base scenario's one chart with its derivative factors moved onto the
+    test form by Stokes' theorem: chart "parts", with p = 0 and the derivative
+    rows first among the principal-value rows, so each L_j keeps its meaning.
+    On a derivative row x_v^k, with v in no other row, dbar hits the test form
+    alone: v joins the conjugate slots (a term already holding v is dropped),
+    its factor (a, b, rho) becomes (a+1, b, rho') plus (a, b-1, b*rho) when
+    b > 0, and the coefficient takes the parity of the slots, increasing, then
+    the derivative variables in row order (README, Conventions).  Raises
+    ValueError on any other derivative row, and unless v's profile vanishes
+    at its support end.
+    """
+    from .leibniz import inversion_parity  # leibniz imports this module
+
+    (chart,) = base.charts
+    vs = []
+    for row in chart.alpha:
+        v = [i for i, e in enumerate(row, 1) if e]
+        if len(v) != 1 or sum(map(bool, chart.column(v[0]))) != 1:
+            raise ValueError("each derivative row must be a power of one variable that no other row uses")
+        vs += v
+    terms = []
+    for t in base.testform(chart.name).terms:
+        if t.dbar_slots.intersection(vs):
+            continue
+        partial = [list(t.factors)]
+        for v in vs:
+            a, b, rho = t.factors[v - 1].a, t.factors[v - 1].b, t.factors[v - 1].rho
+            if rho.knots and rho.value(rho.knots[-1]):
+                raise ValueError("integration by parts needs profiles vanishing at the support edge")
+            moved = [Factor(a + 1, b, rho.derivative())] + ([Factor(a, b - 1, rho.mul_poly([b]))] if b else [])
+            partial = [fs[: v - 1] + [f] + fs[v:] for fs in partial for f in moved]
+        sign = inversion_parity(sorted(t.dbar_slots) + vs)
+        terms += (SeparableTerm(t.coeff * sign, fs, t.dbar_slots.union(vs)) for fs in partial)
+    spec = ChartSpec("parts", (), chart.rows(), chart.jac, chart.sign, chart.unit_flags)
+    sig = ProblemSignature(chart.n, 0, chart.p + chart.q, base.signature.N)
+    return Scenario(sig, (spec,), {"parts": SeparableTestForm(terms)})
+
+
 def blowup_parts(profile_degree: int = 2, seed: Optional[int] = None, profiles=None) -> Scenario:
-    """Independent reference: both derivative factors moved onto the test
-    function by integration by parts, leaving a principal-value-only integral."""
-    rho_phi, rho2, rho3 = profiles if profiles is not None else example_profiles(
-        profile_degree, seed
-    )
-    if rho2.value(Fraction(1)) != 0 or rho3.value(Fraction(1)) != 0:
-        raise ValueError("integration by parts needs profiles vanishing at the support edge")
-    sig = ProblemSignature(n=3, p=0, q=3, N=1)
-    chart = ChartSpec(
-        "parts",
-        alpha=(),
-        beta=((0, 1, 0), (0, 0, 1), (1, 0, 0)),
-        jac=(0, 0, 0),
-        sign=1,
-    )
-    term = SeparableTerm(
-        QI.one(),
-        (
-            Factor(1, 0, rho_phi.derivative()),
-            Factor(1, 0, rho2.derivative()),
-            Factor(1, 0, rho3.derivative()),
-        ),
-        frozenset({1, 2, 3}),
-    )
-    return Scenario(sig, (chart,), {"parts": SeparableTestForm((term,))})
+    """The blow-up charts' reference: `blowup_base` with both derivative factors
+    moved onto the test form by `integrate_by_parts`."""
+    return integrate_by_parts(blowup_base(profiles if profiles is not None else example_profiles(profile_degree, seed)))
 
 
 def diagonal_scenario(

@@ -97,14 +97,6 @@ class PoleConstraint(Frozen):
     def is_analytic(self) -> bool:
         return not self.allowed_supports
 
-    def sorted_members(self) -> List[Tuple[int, ...]]:
-        return sorted(tuple(sorted(m)) for m in self.allowed_supports)
-
-    def __str__(self):
-        if self.is_analytic:
-            return "analytic"
-        return "{" + ", ".join("{" + ",".join(map(str, m)) + "}" for m in self.sorted_members()) + "}"
-
 
 def initial_constraint(sym: CurrentSymbol) -> PoleConstraint:
     """A-priori constraint: supports inside the derivative block; hyperplanes

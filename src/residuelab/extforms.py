@@ -109,15 +109,6 @@ class PolyForm(Frozen):
     def __hash__(self):
         return hash((self.nvars, self.degree, frozenset(self.terms.keys())))
 
-    def __str__(self):
-        if self.is_zero():
-            return "0"
-        parts = []
-        for idx, c in sorted(self.terms.items()):
-            wedge = "^".join(f"dx{i}" for i in idx) or "1"
-            parts.append(f"({c}) {wedge}")
-        return " + ".join(parts)
-
 
 def wedge(a: PolyForm, b: PolyForm) -> PolyForm:
     """Graded-anticommutative product; degree overflow gives the zero form."""

@@ -110,9 +110,6 @@ class Poly:
             return NotImplemented
         return self.nvars == other.nvars and self.terms == other.terms
 
-    def __hash__(self):
-        return hash((self.nvars, frozenset(self.terms.items())))
-
     def __str__(self) -> str:
         if not self.terms:
             return "0"

@@ -3,6 +3,7 @@ import hashlib
 import io
 import itertools
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,13 +11,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from residuelab import (
+    QI,
     ChartSpec,
     ExactnessError,
+    Factor,
     ProblemSignature,
     RadialProfile,
+    Scenario,
     ScenarioError,
+    SeparableTerm,
+    SeparableTestForm,
     blowup_base,
     blowup_example,
+    blowup_parts,
+    integrate_by_parts,
     mellin_exact,
     parse_scenario,
     pullback,
@@ -171,6 +179,16 @@ def test_blowup_example_bytes_pinned():
     assert h.hexdigest() == "b7574b577d2cbb1f780a1183940de7df57f46240aa0f0c7c6603d9264bca26a1"
 
 
+def test_blowup_parts_bytes_pinned():
+    # recorded before `blowup_parts` was derived by `integrate_by_parts`
+    h = hashlib.sha256()
+    for d in range(1, 9):
+        for s in (None, 1, 2, 3):
+            h.update(blowup_parts(d, s).to_json().encode() + b"\n")
+            h.update(blowup_parts(profiles=example_profiles(d, s)).to_json().encode() + b"\n")
+    assert h.hexdigest() == "e69e4e03f7dba70073362a9041d15d551e438828739a52f75d7c1ca6e64801d3"
+
+
 def test_blowup_example_rows():
     sc = blowup_example()
     z = sc.chart("z")
@@ -228,7 +246,76 @@ def test_toric_towers_sum_to_the_base_value(insertions, orders, seed):
     base = blowup_base(profiles=example_profiles(1, seed))
     cones = farey_cones(insertions)
     sc = tower(base, [cone_substitution(c, o) for c, o in zip(cones, orders)])
-    assert chart_sum(sc)[0] == mellin_exact(base, "base")
+    total = chart_sum(sc)[0]
+    assert total == mellin_exact(base, "base")
+    # non-diagonal charts against a value with no residue factor at all
+    assert total == mellin_exact(integrate_by_parts(base), "parts")
+
+
+def _parts_base(rng):
+    """A random one-chart base that `integrate_by_parts` takes: rows x_v^k on
+    distinct variables in random order, principal-value rows on the others,
+    Jacobian exponents, N in {1, 2}, either sign, and 1-3 terms on profiles
+    (1 - t) * poly whose exponents pass angular selection but for one in ten
+    variables, and whose slots skip the derivative variables but for one in
+    five terms."""
+    n = rng.randint(1, 3)
+    p = rng.randint(1, n)
+    vs = rng.sample(range(n), p)
+    others = [i for i in range(n) if i not in vs]
+    alpha = [[rng.randint(1, 2) if i == v else 0 for i in range(n)] for v in vs]
+    beta = [[rng.randint(0, 2) if i in others else 0 for i in range(n)] for _ in range(rng.randint(0, 2))]
+    beta = [row for row in beta if any(row)]
+    chart = ChartSpec("base", alpha, beta, [rng.randint(0, 1) for _ in range(n)], rng.choice((1, -1)))
+    N = rng.randint(1, 2)
+    terms = []
+    for _ in range(rng.randint(1, 3)):
+        slots = set(others) if rng.random() < 0.8 else set(rng.sample(range(n), n - p))
+        factors = []
+        for i in range(n):
+            b = rng.randint(0, 2)
+            # u = a + jac - N * column must be b on a slot and b - 1 elsewhere
+            a = b - (i not in slots) - chart.jac[i] + N * chart.column_total(i + 1) + (rng.random() < 0.1)
+            poly = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(rng.randint(1, 3))]
+            rho = RadialProfile.on_unit([1, -1]).mul_poly(poly)
+            factors.append(Factor(max(a, 0), b - min(a, 0), rho))  # b stays <= 2
+        coeff = QI.of(rng.randint(-2, 2), rng.randint(-2, 2))
+        terms.append(SeparableTerm(coeff, factors, {i + 1 for i in slots}))
+    return Scenario(ProblemSignature(n, p, len(beta), N), (chart,), {"base": SeparableTestForm(terms)})
+
+
+def test_integrate_by_parts_keeps_the_value():
+    # Stokes' theorem, one derivative variable at a time: the base and its
+    # integrated-by-parts form are the same MeroValue, at every parameter
+    rng = random.Random(2718)
+    nonzero = 0
+    for _ in range(400):
+        base = _parts_base(rng)
+        value = mellin_exact(base, "base")
+        assert mellin_exact(integrate_by_parts(base), "parts") == value
+        nonzero += not value.is_zero()
+    assert nonzero >= 150
+
+
+@pytest.mark.parametrize(
+    "alpha, beta",
+    [
+        (((0, 1, 1),), ((1, 0, 0),)),  # a derivative row on two variables
+        (((0, 1, 0), (0, 0, 1)), ((1, 1, 0),)),  # a principal-value row on a derivative variable
+    ],
+)
+def test_integrate_by_parts_rejects_rows_it_cannot_separate(alpha, beta):
+    base = blowup_base()
+    sig = ProblemSignature(3, len(alpha), len(beta))
+    chart = ChartSpec("base", alpha, beta, (0, 0, 0))
+    with pytest.raises(ValueError, match="power of one variable that no other row uses"):
+        integrate_by_parts(Scenario(sig, (chart,), base.testforms))
+
+
+def test_integrate_by_parts_needs_profiles_vanishing_at_the_support_end():
+    bump = RadialProfile.bump(2)
+    with pytest.raises(ValueError, match="integration by parts needs profiles vanishing at the support edge"):
+        blowup_parts(profiles=(bump, RadialProfile.on_unit([1]), bump))
 
 
 @pytest.mark.parametrize(

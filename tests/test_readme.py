@@ -18,6 +18,9 @@ def test_library_entry_points_block_runs():
     assert namespace["trace"].analytic
     assert namespace["z"] == namespace["sc"].chart("z")
     assert namespace["tf"] == namespace["sc"].testform("z")
+    from residuelab.mellin import chart_sum
+
+    assert namespace["parts"] == chart_sum(namespace["sc"])[0]
 
 
 def test_all_exports_no_module():

@@ -204,3 +204,9 @@ def test_repr_names_every_field(cls, fields, other, defaults, hashed, frozen):
     x = _build(cls, fields)
     shown = ", ".join(f"{name}={getattr(x, name)!r}" for name in fields)
     assert repr(x) == f"{cls.__qualname__}({shown})"
+
+
+def test_poly_is_unhashable():
+    # a Poly's terms dict is mutable, so a Poly used as a key would be lost once changed
+    with pytest.raises(TypeError):
+        hash(Poly.zero(1))
