@@ -14,6 +14,7 @@ import math
 import sys
 import time
 from fractions import Fraction
+from itertools import accumulate
 from typing import TYPE_CHECKING, List, Optional, Sequence
 
 # what every command needs; each command imports the modules it runs
@@ -78,7 +79,11 @@ class Report(Frozen):
 
 
 def _short(val) -> str:
-    s = json.dumps(val, sort_keys=True) if isinstance(val, (dict, list)) else str(val)
+    """str(val), or a dict's or list's sorted-key JSON encoded only until past 200 characters, cut to 200."""
+    parts = json.JSONEncoder(sort_keys=True).iterencode(val) if isinstance(val, (dict, list)) else [str(val)]
+    for s in accumulate(parts):
+        if len(s) > 200:
+            break
     return s if len(s) <= 200 else s[:197] + "..."
 
 

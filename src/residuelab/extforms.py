@@ -14,7 +14,6 @@ from typing import Dict, Iterable, Mapping, Sequence, Tuple
 
 from .errors import ScenarioError, _int, _rational, _typed
 from .frozen import Frozen, _set
-from .leibniz import inversion_parity
 from .poly import Poly
 
 IndexTuple = Tuple[int, ...]
@@ -24,7 +23,7 @@ def _sorted_signed(idx: Sequence[int]) -> Tuple[IndexTuple, int]:
     """Sort wedge indices, tracking the permutation sign; repeated index kills the term."""
     if len(set(idx)) != len(idx):
         return (), 0
-    return tuple(sorted(idx)), inversion_parity(idx)
+    return tuple(sorted(idx)), (-1) ** sum(a > b for i, a in enumerate(idx) for b in idx[i + 1 :])
 
 
 class PolyForm(Frozen):

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm, prod
-from typing import Dict, Optional, Sequence, Tuple, Union
+from math import gcd, lcm, prod
+from typing import Dict, Iterable, Optional, Sequence, Tuple, Union
 
 from .charts import ChartSpec, Factor, Scenario, SeparableTestForm
 from .errors import InputError, ScenarioError
@@ -61,7 +61,9 @@ def radial_factor(nvars: int, mu_vec: Sequence[int], shift: int, rho: RadialProf
             if dj != dk:
                 row = [x * dj + y for x, y in zip(row + [0], [0] + row)]
         P = [x + y for x, y in zip(P, row)]
-    forms = [_normalized(mu_vec, d) for d in ds]  # s + d_k = g_k * F_k, F_k normalized
+    g0 = _normalized(mu_vec)[2]  # s + d_k = g_k * F_k, F_k normalized: g_k = gcd(g0, d_k), signed as g0
+    gs = [gcd(g0, d) if g0 > 0 else -gcd(g0, d) for d in ds]
+    forms = [(tuple(c // g for c in mu_vec), d // g, g) for d, g in zip(ds, gs)]
     # distinct d_k give distinct forms, and (vec, const) order is their sort_key order
     den = tuple((AffineForm(vec, const), 1) for vec, const, _ in sorted(forms))
     content = -D * prod(g for _, _, g in forms)  # negative, so in_one_form negates the sum
@@ -135,31 +137,34 @@ def mellin_exact(scenario: Scenario, chart: Union[ChartSpec, str]) -> MeroValue:
     plan = term_plan(chart, scenario.testform(chart.name), sig.N)
     nv = sig.nfactors
     axis = [1] * sig.p + [0] * (nv - sig.p)
-    result = MeroValue.zero(nv)
+    values = []
     for term in plan:
-        val = MeroValue.monomial(nv, axis, term.coeff * term.orientation)
+        factors = []
         for j, (column, u, f) in enumerate(term.variables):
             try:
-                fac = radial_factor(nv, column, u, f.rho)
+                factors.append((column, radial_factor(nv, column, u, f.rho)))
             except ExactnessError as exc:
                 path = f"testforms[{chart.name!r}].terms[{term.index}].factors[{j}].rho"
                 raise ExactnessError(f"{path}: {exc}") from None
-            if fac.is_zero():
-                val = MeroValue.zero(nv)
+            if factors[-1][1].is_zero():
                 break
-            val = val * fac
-        result = result + val
-    return result
+        values.append(MeroValue.term_product(axis, term.coeff, term.orientation, factors))
+    return _balanced_sum(values, nv)
+
+
+def _balanced_sum(values: Iterable[MeroValue], nvars: int) -> MeroValue:
+    """The values added pairwise in list order, neighbours and then neighbouring sums."""
+    values = list(values) or [MeroValue.zero(nvars)]
+    while len(values) > 1:
+        values = [a + b for a, b in zip(values[::2], values[1::2])] + values[len(values) & ~1:]
+    return values[0]
 
 
 def chart_sum(scenario: Scenario) -> Tuple[MeroValue, Dict[str, MeroValue]]:
     """The continued integral, the reduced sum of the charts' exact values,
     and those values by chart name."""
     values = {chart.name: mellin_exact(scenario, chart) for chart in scenario.charts}
-    total = MeroValue.zero(scenario.signature.nfactors)
-    for v in values.values():
-        total = total + v
-    return total, values
+    return _balanced_sum(values.values(), scenario.signature.nfactors), values
 
 
 def value_at_origin(v: MeroValue) -> TokenScalar:

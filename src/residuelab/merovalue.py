@@ -42,7 +42,13 @@ tests only the forms that can cancel.  In a sum a/b + c/d over the common
 denominator, a form with a higher multiplicity in b than in d divides the
 cross term c*(lcm/d) but not a*(lcm/b), so only forms with the same
 multiplicity in b and d can cancel.  In a product, a form of one factor's
-denominator can cancel only against the other factor's numerator.
+denominator can cancel only against the other factor's numerator.  The
+term-product rule: in a chart term c * L^axis * prod_k R_k, each radial
+factor's numerator is a polynomial in its column form mu_k.L, so over C it
+splits into forms parallel to mu_k.  An affine form F of R_k's denominator is
+irreducible and does not divide R_k's numerator, so it divides the product
+only as F = L_i with axis[i] = 1, or parallel to some mu_j, j != k;
+term_product tries only those forms.
 Evaluation modulo a prime on a form's zero hyperplane rules divisions out
 before they are tried; being a ring homomorphism, it tests a sum on its
 summands, so only the forms that pass are tried on the expanded sum.  Every
@@ -63,7 +69,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .frozen import Frozen, _set
 from .gaussian import QI
-from .linform import AffineForm
+from .linform import AffineForm, _normalized
 from .poly import Exponent, Poly
 
 # Gaussian-integer polynomial: packed monomial key -> (re, im), no zero entries.
@@ -420,6 +426,25 @@ class MeroValue:
             rows[0] = rows.get(0, 0) + (sign * c << K)
         terms, content = _canon(_unpacked(rows, K, W), sign * content)
         return MeroValue(form.nvars, terms, content, den)
+
+    @staticmethod
+    def term_product(axis: Sequence[int], coeff, orientation: int, factors) -> "MeroValue":
+        """coeff * orientation * L^axis times the (column, value) factors' values,
+        each vouched to be a radial factor of its column, by the term-product rule."""
+        nvars = len(axis)
+        if not (coeff and orientation) or any(v.is_zero() for _, v in factors):
+            return MeroValue.zero(nvars)
+        re, im, content = _scalar(coeff)
+        terms = {_key(axis): (re * orientation, im * orientation)}
+        for _, v in factors:
+            terms, content = _mul(terms, v._terms), content * v._content
+        terms, content = _canon(terms, content)
+        den = dict(_merge_dens(chain.from_iterable(v.den for _, v in factors)))
+        dirs = [_normalized(col)[0] if any(col) else None for col, _ in factors]
+        tries = [f for (_, v), d in zip(factors, dirs) if d and dirs.count(d) > 1 for f, _ in v.den]
+        tries += [f for f in den if (i := f.axis_index()) and axis[i - 1]]
+        terms = _cancel(terms, den, dict.fromkeys(tries))
+        return MeroValue(nvars, terms, content, _merge_dens(den.items()), sum(v.token_pow for _, v in factors))
 
     @staticmethod
     def from_poly(num: Poly, den=(), token_pow: int = 0) -> "MeroValue":

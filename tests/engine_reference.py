@@ -3,6 +3,10 @@
 - `mellin_sum_by_additions`: the radial Mellin sum built with K - 1 full
   MeroValue additions, each normalizing one form and reducing the sum;
   `mellin.radial_factor` writes the reduced value, times -2*pi*i, in closed form.
+- `term_product_by_fold`: a planned term's value as the monomial times each
+  radial value by `MeroValue.__mul__`, every new form tried for cancellation;
+  `MeroValue.term_product` multiplies all numerators at once and tries only
+  the forms the term-product rule allows.
 - `sum_times_forms_by_tuples`: the common-denominator expansion of a sum, one
   (re, im) tuple per monomial and one real form at a time;
   `merovalue._sum_times_forms` packs each coefficient and each power of the
@@ -60,6 +64,14 @@ def mellin_sum_by_additions(nvars: int, mu_vec: Sequence[int], shift: int, rho: 
             vec, const, g = _normalized(mu_vec, d)
             total = total + MeroValue.from_poly(Poly.const(nvars, QI.of(c) / g), [(AffineForm(vec, const), 1)])
     return total
+
+
+def term_product_by_fold(axis: Sequence[int], coeff, orientation: int, factors) -> MeroValue:
+    """coeff * orientation * L^axis times the (column, value) factors' values, one product at a time."""
+    val = MeroValue.monomial(len(axis), axis, coeff * orientation)
+    for _, v in factors:
+        val = val * v
+    return val
 
 
 def sum_times_forms_by_tuples(parts) -> dict:

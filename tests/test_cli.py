@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import warnings
@@ -768,3 +769,63 @@ def test_exact_commands_start_without_numpy(tmp_path, blowup_file, diagonal_file
         assert loading(module) == set(commands) - {"deduce", "divlemma"}, module
     package = {m for m in loaded["deduce"] if m.startswith("residuelab.")}
     assert package <= {"residuelab.cli", "residuelab.errors", "residuelab.frozen", "residuelab.deduction"}
+
+
+def test_cold_divlemma_loads_neither_leibniz_nor_linform(tmp_path):
+    # extforms counts a wedge sort's inversions itself, so a fresh interpreter
+    # running divlemma loads no module of the exact engine
+    psi = PolyForm.basis(3, (2,)) + PolyForm.basis(3, (3,), Poly.variable(3, 0, Fraction(1)))
+    div = tmp_path / "div.json"
+    div.write_text(json.dumps({"n": 3, "K": [1], "psi": form_to_obj(psi), "alphas": [[0, 3, 0]]}))
+    script = (
+        "import contextlib, io, json, sys\n"
+        "from residuelab.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(['divlemma', sys.argv[1]])\n"
+        "print(json.dumps([code, list(sys.modules)]))\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    proc = subprocess.run([sys.executable, "-c", script, str(div)], env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    code, modules = json.loads(proc.stdout)
+    assert code == 0
+    assert "residuelab.extforms" in modules
+    assert not {"residuelab.leibniz", "residuelab.linform"} & set(modules)
+
+
+def _json_value(rng, depth=0):
+    """A random report value: nested dicts and lists of big ints, floats,
+    non-ASCII strings, booleans and None, some lists thousands long."""
+    kind = rng.randrange(8 if depth < 3 else 5)
+    if kind == 0:
+        return rng.randint(-(10**40), 10**40)
+    if kind == 1:
+        return rng.choice([0.1, -2.5e-300, 1e308, float("inf"), float("nan"), rng.random()])
+    if kind == 2:
+        return "".join(rng.choice("aZ é\"\\\n∂λ𝔸") for _ in range(rng.randrange(12)))
+    if kind == 3:
+        return rng.choice([True, False, None])
+    if kind == 4:
+        return rng.randint(-5, 5)
+    size = rng.choice([0, 1, 3, 8])
+    if kind == 5:
+        return [_json_value(rng, 3) for _ in range(2000)]  # a long list of scalars
+    if kind == 6:
+        return [_json_value(rng, depth + 1) for _ in range(size)]
+    return {str(rng.randint(0, 99)) + rng.choice("ab∂"): _json_value(rng, depth + 1) for _ in range(size)}
+
+
+def test_short_equals_the_whole_dump_cut_to_200_characters():
+    # _short stops encoding once it holds more than 200 characters; the old
+    # rule dumped the whole value first
+    def whole(val):
+        s = json.dumps(val, sort_keys=True) if isinstance(val, (dict, list)) else str(val)
+        return s if len(s) <= 200 else s[:197] + "..."
+
+    rng = random.Random(13)
+    for _ in range(300):
+        val = _json_value(rng)
+        assert cli._short(val) == whole(val)
+    assert cli._short(list(range(10**5))) == whole(list(range(10**5)))

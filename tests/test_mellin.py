@@ -38,6 +38,7 @@ from residuelab.mellin import (
     FloatRangeError,
     _gauss_legendre,
     _quad_variable,
+    _balanced_sum,
     _radial_grid,
     chart_sum,
     radial_factor,
@@ -48,7 +49,12 @@ from residuelab.poly import Poly
 
 from affine_division import as_poly
 from corpus import absorbing_testform, random_chart_scenario
-from engine_reference import mellin_sum_by_additions, quad_variable_per_piece, quadrature_by_two_passes
+from engine_reference import (
+    mellin_sum_by_additions,
+    quad_variable_per_piece,
+    quadrature_by_two_passes,
+    term_product_by_fold,
+)
 from test_acceptance import _chart_corpus
 
 
@@ -135,6 +141,86 @@ def test_radial_factor_matches_the_sum_by_additions(case):
     got = radial_factor(nvars, column, shift, rho)
     assert got.to_obj() == want.to_obj()
     assert got == want and got.reduced() is got
+
+
+_DIRECTIONS = [(1, 0, 0), (0, 1, 0), (1, 2, 0), (1, -1, 1)]
+
+
+def _product_case(rng):
+    """A planned term's data: an axis, a Gaussian coefficient, an orientation
+    and 1-3 (column, radial value) factors.  A column is zero, or a multiple of
+    a few directions, half the time an earlier factor's, so (1, 2) meets
+    (2, 4) or (-1, -2); shifts in -3..2 put d_k = 0 on unit columns.  Half the
+    profiles are a + b*t with a + b = +-1, whose Mellin numerator has an
+    integer root that a parallel factor's form can cancel; some are zero."""
+    nv = rng.randint(1, 3)
+    axis = [rng.randint(0, 1) for _ in range(nv)]
+    factors = []
+    for _ in range(rng.choice([1, 2, 2, 3])):
+        earlier = [c for c, _ in factors if any(c)]
+        if rng.random() < 0.15:
+            column, shift = (0,) * nv, rng.randint(0, 2)
+        else:
+            if earlier and rng.random() < 0.5:
+                base = rng.choice(earlier)
+            else:
+                base = rng.choice([d[:nv] for d in _DIRECTIONS if any(d[:nv])])
+            column, shift = tuple(rng.choice([1, 1, 2, -1, -2]) * c for c in base), rng.randint(-3, 2)
+        if rng.random() < 0.08:
+            rho = RadialProfile.zero()
+        elif rng.random() < 0.5:
+            a = rng.randint(-3, 3)
+            rho = RadialProfile.on_unit([a, rng.choice([1, -1]) - a])
+        else:
+            rho = RadialProfile.on_unit([rng.randint(-3, 3) for _ in range(rng.randint(1, 3))])
+        factors.append((column, radial_factor(nv, column, shift, rho)))
+    coeff = QI(Fraction(rng.randint(-4, 4), rng.randint(1, 4)), Fraction(rng.randint(-4, 4), rng.randint(1, 4)))
+    return axis, coeff, rng.choice([1, -1, 2, -3]), factors
+
+
+def test_term_product_equals_the_fold():
+    # the term-product rule tries only the forms of factors whose columns are
+    # parallel, and the coordinate forms L_i with axis[i] = 1; the fold tries
+    # every new form of every step
+    rng = random.Random(35)
+    cancelled = 0
+    for _ in range(600):
+        axis, coeff, orientation, factors = _product_case(rng)
+        got = MeroValue.term_product(axis, coeff, orientation, factors)
+        assert got == term_product_by_fold(axis, coeff, orientation, factors)
+        forms = sum(m for _, v in factors for _, m in v.den)
+        cancelled += not got.is_zero() and sum(m for _, m in got.den) < forms
+    assert cancelled >= 50
+
+
+def test_balanced_sum_equals_the_left_fold():
+    # pairwise in list order; sums that cancel, zeros and the empty list included
+    rng = random.Random(9)
+    for _ in range(200):
+        nv = rng.randint(1, 3)
+        values = []
+        for _ in range(rng.randint(0, 7)):
+            if values and rng.random() < 0.3:
+                values.append(-rng.choice(values))
+                continue
+            column = [rng.randint(-2, 2) for _ in range(nv)]
+            rho = RadialProfile.on_unit([rng.randint(-3, 3) for _ in range(rng.randint(1, 3))])
+            values.append(radial_factor(nv, column, rng.randint(0, 3), rho) * QI.of(rng.randint(-3, 3), 1))
+        fold = MeroValue.zero(nv)
+        for v in values:
+            fold = fold + v
+        assert _balanced_sum(values, nv).to_obj() == fold.to_obj()
+
+
+def test_mellin_exact_multiplies_no_values(monkeypatch):
+    # each planned term is one term_product; MeroValue.__mul__ stays for general use
+    def refuse(self, other):
+        raise AssertionError("mellin_exact called MeroValue.__mul__")
+
+    monkeypatch.setattr(MeroValue, "__mul__", refuse)
+    monkeypatch.setattr(MeroValue, "__rmul__", refuse)
+    for scenario in [blowup_example(), blowup_parts(3, 1)] + _chart_corpus()[:40]:
+        chart_sum(scenario)
 
 
 # --- closed forms ------------------------------------------------------------
